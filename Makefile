@@ -4,7 +4,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen escapes-check escapes-update bce-check bce-update inline-check inline-update gates bench bench-experiments bench-sessions bench-blocks parallel-smoke block-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
+.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen escapes-check escapes-update bce-check bce-update inline-check inline-update gates grid-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
 
 all: build
 
@@ -74,47 +74,15 @@ lint-codegen:
 # All three compiler-diagnostic budget gates against their baselines.
 gates: escapes-check bce-check inline-check
 
-# Run the predictor benchmarks with -benchmem and refresh the checked-in
-# machine-readable snapshot.
-bench:
-	$(GO) run ./cmd/benchjson -out BENCH_predictors.json
-
-# Benchmark the full experiment grid serial-without-cache vs parallel-with-
-# cache vs the batched block engine, and refresh the checked-in snapshot
-# (wall-clocks, derived speedups, cache traffic). The ns/op numbers reflect
-# the host's core count.
-bench-experiments:
-	$(GO) run ./cmd/benchjson -experiments -out BENCH_experiments.json
-
-# Benchmark the live-session loop (create + predict stream over real HTTP)
-# and refresh the checked-in snapshot: sessions/s, serialized bytes per
-# trained session, and the server's predict-call latency quantiles.
-bench-sessions:
-	$(GO) run ./cmd/benchjson -sessions -out BENCH_sessions.json
-
-# Just the block-engine rows of the grid benchmark, printed to stdout: a
-# quick local read on the single-core blocks-vs-serial speedup without
-# rewriting the full snapshot (that is `make bench-experiments`).
-bench-blocks:
-	$(GO) run ./cmd/benchjson -experiments -bench '^BenchmarkExperiments/(serial-nocache|blocks-j1-cached)$$' -out -
-
-# The parallel runner's correctness gate: byte-identical output across -j,
-# single generation per trace, and the scheduler/cache under the race
-# detector — including a short full-grid smoke at -j 4.
-parallel-smoke:
-	$(GO) test -run 'TestParallelDeterminism|TestDisabledCacheMatchesSerial' ./cmd/experiments
-	$(GO) test -race ./internal/tracecache ./internal/sched
-	$(GO) run -race ./cmd/experiments -all -events 2000 -j 4 -cachestats > /dev/null
-
-# The block engine's correctness gate: the batched columnar path must render
-# byte-identical reports to the record engine at every worker count and
-# cache mode, stay allocation-free in steady state, and hold up under the
-# race detector with concurrent block conversions — plus a short full-grid
-# smoke through the default -blocks path.
-block-smoke:
-	$(GO) test -run 'TestBlockEngineMatchesRecordEngine' ./cmd/experiments
+# The experiment grid's correctness gate: every registry entry renders the
+# golden record-engine bytes at every -j, each trace is generated once, the
+# block engine stays allocation-free in steady state, the scheduler and the
+# trace cache (concurrent block conversions included) pass the race
+# detector, and a short full-grid run at -j 4 completes under -race.
+grid-smoke:
+	$(GO) test -run 'TestParallelDeterminism|TestBlockEngineMatchesRecordEngine' ./cmd/experiments
 	$(GO) test -run 'TestBlockEngineZeroAllocSteadyState' ./internal/bench
-	$(GO) test -race -run 'TestGetBlocks' ./internal/tracecache
+	$(GO) test -race ./internal/tracecache ./internal/sched
 	$(GO) run -race ./cmd/experiments -all -events 2000 -j 4 -cachestats > /dev/null
 
 # End-to-end gate for the serving subsystem: boots a real ppmserved on an
@@ -137,9 +105,10 @@ lint: fmt vet ppmlint
 
 # The correctness harness's bounded CI pass: regression-corpus replay, a
 # differential hunt of every predictor family against its naive reference,
-# the metamorphic identities (cache on/off, worker counts, served vs serial,
-# split vs concat sessions, upload vs batch), and byte-offset fault sweeps
-# over the trace decoder and the upload endpoint.
+# the metamorphic identities (blocks vs records across worker counts and
+# cache budgets, served vs serial, split vs concat sessions, upload vs
+# batch), and byte-offset fault sweeps over the trace decoder and the upload
+# endpoint.
 check-quick:
 	$(GO) run ./cmd/ppmcheck -quick
 
@@ -162,4 +131,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzStateRoundTrip -fuzztime=$(FUZZTIME) ./internal/state
 
-ci: build lint lint-concurrency lint-codegen gates race parallel-smoke block-smoke serve-smoke session-smoke check-quick fuzz-smoke
+ci: build lint lint-concurrency lint-codegen gates race grid-smoke serve-smoke session-smoke check-quick fuzz-smoke

@@ -180,28 +180,6 @@ func BenchmarkVariantsAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictorThroughput measures raw single-branch prediction+update
-// latency per predictor on a fixed hot loop — the engineering metric for
-// the simulator itself.
-func BenchmarkPredictorThroughput(b *testing.B) {
-	targets := []uint64{0x140000f4, 0x14000128, 0x1400075c, 0x14000390}
-	for _, name := range bench.PredictorNames() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			p, _ := bench.NewPredictor(name)
-			rec := trace.Record{PC: 0x120004c0, Class: trace.IndirectJmp, Taken: true, MT: true}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tgt := targets[i&3]
-				p.Predict(rec.PC)
-				p.Update(rec.PC, tgt)
-				rec.Target = tgt
-				p.Observe(rec)
-			}
-		})
-	}
-}
-
 // BenchmarkWorkloadGeneration measures the synthetic trace generator.
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	cfg, _ := bench.ByName("gcc.cp")

@@ -18,16 +18,14 @@
 // worker count (default GOMAXPROCS; -j 1 is the exact serial path), every
 // (run × predictor-set) cell simulates on a private engine, and each suite
 // trace is generated at most once per process through the shared trace
-// cache (-cachemb bounds its memory, -tracecache=false disables it).
-// Output is byte-identical at every -j.
+// cache (-cachemb bounds its memory). Output is byte-identical at every -j.
 //
-// By default cells replay through the batched block engine: traces are
-// pre-decoded once into columnar blocks (cached alongside the records) and
-// each predictor consumes a whole block per virtual call, with index lanes
-// letting most predictors skip straight to the records they observe.
-// -blocks=false falls back to the record-at-a-time engine; the two paths
-// are byte-identical (enforced by the ppmcheck blocks-vs-records suite and
-// the engine-identity test), so the flag only changes wall-clock time.
+// Cells replay through the batched block engine: traces are pre-decoded
+// once into columnar blocks (cached alongside the records) and each
+// predictor consumes a whole block per virtual call, with index lanes
+// letting most predictors skip straight to the records they observe. The
+// output is pinned byte for byte to the record-at-a-time engine's by
+// testdata/all-ext-2000.golden and the ppmcheck blocks-vs-records suite.
 package main
 
 import (
@@ -58,10 +56,6 @@ type env struct {
 	suite []workload.Config
 	cache *tracecache.Cache
 	pool  *sched.Pool
-	// blocks selects the batched block engine: cells replay pre-decoded
-	// columnar blocks via sched.SimulateBlocks instead of record slices.
-	// Results are identical either way; only wall-clock differs.
-	blocks bool
 	// savestate/warmstart switch the warmstart experiment into its
 	// cross-process modes: write a mid-trace PPM-hyb snapshot to a file, or
 	// restore one and prove byte-identical continuation (see warmstart.go).
@@ -73,10 +67,7 @@ type env struct {
 // predictor set, sharding cells across the pool; results arrive in suite
 // order.
 func (e *env) simulate(build func() []predictor.IndirectPredictor) []sched.Result {
-	if e.blocks {
-		return e.pool.SimulateBlocks(e.cache, e.suite, build)
-	}
-	return e.pool.Simulate(e.cache, e.suite, build)
+	return e.pool.SimulateBlocks(e.cache, e.suite, build)
 }
 
 func main() {
@@ -88,8 +79,6 @@ func main() {
 		runFilter  = flag.String("run", "", "restrict to runs whose name contains this substring")
 		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "simulation workers (1 = exact serial path)")
 		cacheMB    = flag.Int("cachemb", 512, "trace cache budget in MiB (0 = unlimited)")
-		useCache   = flag.Bool("tracecache", true, "cache generated traces; false regenerates per analysis (the pre-cache baseline)")
-		useBlocks  = flag.Bool("blocks", true, "simulate via the batched block engine; false uses the record-at-a-time engine (identical output)")
 		cacheStats = flag.Bool("cachestats", false, "print trace cache statistics to stderr after the run")
 		savestate  = flag.String("savestate", "", "warmstart experiment: write a mid-trace PPM-hyb snapshot to this file")
 		warmstart  = flag.String("warmstart", "", "warmstart experiment: restore this snapshot and verify byte-identical continuation")
@@ -141,15 +130,11 @@ func main() {
 	}
 
 	cache := tracecache.New(int64(*cacheMB) << 20)
-	if !*useCache {
-		cache = tracecache.Disabled()
-	}
 	e := &env{
 		out:       os.Stdout,
 		suite:     filterRuns(bench.Sized(*events), *runFilter),
 		cache:     cache,
 		pool:      sched.New(*jobs),
-		blocks:    *useBlocks,
 		savestate: *savestate,
 		warmstart: *warmstart,
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
 	"testing"
 
 	"repro/internal/bench"
@@ -11,15 +12,13 @@ import (
 )
 
 // renderExperiments runs the named registry entries into w under the given
-// worker count, engine selection and trace cache, at the given per-run
-// event count.
-func renderExperiments(w io.Writer, names []string, workers int, blocks bool, cache *tracecache.Cache, events int) {
+// worker count and trace cache, at the given per-run event count.
+func renderExperiments(w io.Writer, names []string, workers int, cache *tracecache.Cache, events int) {
 	e := &env{
-		out:    w,
-		suite:  bench.Sized(events),
-		cache:  cache,
-		pool:   sched.New(workers),
-		blocks: blocks,
+		out:   w,
+		suite: bench.Sized(events),
+		cache: cache,
+		pool:  sched.New(workers),
 	}
 	for _, n := range names {
 		for _, ex := range experiments {
@@ -39,7 +38,7 @@ func TestParallelDeterminism(t *testing.T) {
 	suiteLen := uint64(len(bench.Sized(events)))
 
 	var serial bytes.Buffer
-	renderExperiments(&serial, names, 1, false, tracecache.New(0), events)
+	renderExperiments(&serial, names, 1, tracecache.New(0), events)
 	if serial.Len() == 0 {
 		t.Fatal("serial run produced no output")
 	}
@@ -47,7 +46,7 @@ func TestParallelDeterminism(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		cache := tracecache.New(0)
 		var par bytes.Buffer
-		renderExperiments(&par, names, workers, false, cache, events)
+		renderExperiments(&par, names, workers, cache, events)
 		if !bytes.Equal(serial.Bytes(), par.Bytes()) {
 			t.Errorf("workers=%d: output differs from serial run\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				workers, serial.String(), workers, par.String())
@@ -64,45 +63,46 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestDisabledCacheMatchesSerial pins the -tracecache=false escape hatch to
-// the same output.
+// TestDisabledCacheMatchesSerial pins a cache that keeps nothing resident to
+// the cached serial output: under a 1-byte budget every trace is oversize,
+// so each analysis regenerates every run it reads, at any worker count.
 func TestDisabledCacheMatchesSerial(t *testing.T) {
 	const events = 2000
-	names := []string{"fig6"}
+	names := []string{"fig6", "oracle"}
+	suiteLen := uint64(len(bench.Sized(events)))
+
 	var cached, uncached bytes.Buffer
-	renderExperiments(&cached, names, 1, false, tracecache.New(0), events)
-	renderExperiments(&uncached, names, 4, false, tracecache.Disabled(), events)
+	renderExperiments(&cached, names, 1, tracecache.New(0), events)
+	none := tracecache.New(1)
+	renderExperiments(&uncached, names, 4, none, events)
 	if !bytes.Equal(cached.Bytes(), uncached.Bytes()) {
-		t.Error("disabled-cache parallel output differs from cached serial output")
+		t.Errorf("no-residency output at -j 4 differs from cached serial output\n--- cached ---\n%s\n--- no residency ---\n%s",
+			cached.String(), uncached.String())
+	}
+	st := none.Stats()
+	if st.Generated != 2*suiteLen || st.Entries != 0 {
+		t.Errorf("no-residency cache: generated %d traces with %d resident, want %d with 0 (every analysis regenerates)",
+			st.Generated, st.Entries, 2*suiteLen)
 	}
 }
 
-// TestBlockEngineMatchesRecordEngine pins the -blocks default to the record
-// engine's bytes: the batched block path must render the exact same report
-// at every worker count, through live and disabled caches alike.
+// TestBlockEngineMatchesRecordEngine pins every registry entry to the bytes
+// of the record-at-a-time engine: testdata/all-ext-2000.golden is
+// `experiments -all -ext -events 2000 -j 1` as rendered by that engine,
+// which the block engine replaced. The block engine must reproduce it at
+// every worker count.
 func TestBlockEngineMatchesRecordEngine(t *testing.T) {
-	const events = 2000
-	names := allExperimentNames() // every predictor family crosses the block fast paths
-
-	var records bytes.Buffer
-	renderExperiments(&records, names, 1, false, tracecache.New(0), events)
-	if records.Len() == 0 {
-		t.Fatal("record-engine run produced no output")
+	want, err := os.ReadFile("testdata/all-ext-2000.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	for _, workers := range []int{1, 2, 8} {
-		var blocks bytes.Buffer
-		renderExperiments(&blocks, names, workers, true, tracecache.New(0), events)
-		if !bytes.Equal(records.Bytes(), blocks.Bytes()) {
-			t.Errorf("block engine at -j %d differs from record engine\n--- records ---\n%s\n--- blocks -j %d ---\n%s",
-				workers, records.String(), workers, blocks.String())
+		var got bytes.Buffer
+		renderExperiments(&got, allExperimentNames(), workers, tracecache.New(0), 2000)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("-j %d differs from the golden record-engine output\n--- want ---\n%s\n--- got ---\n%s",
+				workers, want, got.Bytes())
 		}
-	}
-
-	var uncached bytes.Buffer
-	renderExperiments(&uncached, names, 1, true, tracecache.Disabled(), events)
-	if !bytes.Equal(records.Bytes(), uncached.Bytes()) {
-		t.Error("block engine with the disabled cache differs from record engine")
 	}
 }
 
@@ -113,54 +113,4 @@ func allExperimentNames() []string {
 		names = append(names, ex.name)
 	}
 	return names
-}
-
-// BenchmarkExperiments measures the full -all -ext grid. The serial-nocache
-// sub-benchmark is the pre-cache baseline (one worker, record engine, every
-// analysis regenerates every trace); parallel-j4-cached is the record
-// engine's shipped default on a 4-core machine; blocks-j1-cached and
-// blocks-j4-cached replay the same grid through the batched block engine —
-// blocks-j1-cached against serial-nocache is the single-core speedup of
-// this optimisation line. cmd/benchjson -experiments runs these at
-// -benchtime=1x and derives the speedups recorded in BENCH_experiments.json.
-// Cache traffic is attached as custom metrics so the snapshot proves single
-// generation.
-func BenchmarkExperiments(b *testing.B) {
-	const events = 20000
-	names := allExperimentNames()
-
-	b.Run("serial-nocache", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			renderExperiments(io.Discard, names, 1, false, tracecache.Disabled(), events)
-		}
-	})
-
-	b.Run("parallel-j4-cached", func(b *testing.B) {
-		var hits, generated uint64
-		for i := 0; i < b.N; i++ {
-			cache := tracecache.New(512 << 20)
-			renderExperiments(io.Discard, names, 4, false, cache, events)
-			st := cache.Stats()
-			hits += st.Hits
-			generated += st.Generated
-		}
-		b.ReportMetric(float64(hits)/float64(b.N), "cache-hits")
-		b.ReportMetric(float64(generated)/float64(b.N), "cache-gen")
-	})
-
-	b.Run("blocks-j1-cached", func(b *testing.B) {
-		var generated uint64
-		for i := 0; i < b.N; i++ {
-			cache := tracecache.New(512 << 20)
-			renderExperiments(io.Discard, names, 1, true, cache, events)
-			generated += cache.Stats().Generated
-		}
-		b.ReportMetric(float64(generated)/float64(b.N), "cache-gen")
-	})
-
-	b.Run("blocks-j4-cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			renderExperiments(io.Discard, names, 4, true, tracecache.New(512<<20), events)
-		}
-	})
 }

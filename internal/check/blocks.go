@@ -114,23 +114,32 @@ func DivergesBlocks(family string, recs []trace.Record) bool {
 }
 
 // BlocksVsRecords checks the full matrix contract: sched.SimulateBlocks
-// must return byte-identical results to the serial record-engine run at
-// every worker width in [1, maxWorkers], through a shared cache, a cold
-// cache and the disabled (always-regenerate) cache.
+// must return exactly the counters and summaries of the record engine —
+// sim.Run over cfg.Records() — at every worker width in [1, maxWorkers],
+// through an unlimited trace cache and through one whose budget holds a
+// single trace in both forms, so cells also take the evict-and-regenerate
+// path. Caching, sharding and the block engine may change wall-clock time
+// only.
 func BlocksVsRecords(suite []workload.Config, build func() []predictor.IndirectPredictor, maxWorkers int) error {
-	cache := tracecache.New(0)
-	serial := sched.New(1).Simulate(cache, suite, build)
-	for w := 1; w <= maxWorkers; w++ {
-		blocks := sched.New(w).SimulateBlocks(cache, suite, build)
-		if err := resultsEqual(serial, blocks); err != nil {
-			return fmt.Errorf("blocks-vs-records: workers %d, shared cache: %w", w, err)
+	want := make([]sched.Result, len(suite))
+	var oneEntry int64
+	for i, cfg := range suite {
+		recs, sum := cfg.Records()
+		want[i] = sched.Result{Config: cfg, Summary: sum, Counters: sim.Run(recs, build()...)}
+		probe := tracecache.New(0)
+		probe.GetBlocks(cfg)
+		oneEntry = max(oneEntry, probe.Stats().Bytes)
+	}
+	for _, budget := range []int64{0, oneEntry} {
+		cache := tracecache.New(budget)
+		for w := 1; w <= maxWorkers; w++ {
+			if err := resultsEqual(want, sched.New(w).SimulateBlocks(cache, suite, build)); err != nil {
+				return fmt.Errorf("blocks-vs-records: budget %d, workers %d: %w", budget, w, err)
+			}
 		}
-	}
-	if err := resultsEqual(serial, sched.New(1).SimulateBlocks(tracecache.New(0), suite, build)); err != nil {
-		return fmt.Errorf("blocks-vs-records: cold cache: %w", err)
-	}
-	if err := resultsEqual(serial, sched.New(1).SimulateBlocks(tracecache.Disabled(), suite, build)); err != nil {
-		return fmt.Errorf("blocks-vs-records: disabled cache: %w", err)
+		if budget > 0 && len(suite) > 1 && cache.Stats().Evicted == 0 {
+			return fmt.Errorf("blocks-vs-records: budget %d never evicted", budget)
+		}
 	}
 	return nil
 }

@@ -255,7 +255,7 @@ func ReplaySeed(e SeedEntry) error {
 	case "tracecache-oversize":
 		smallCfg := corpusWorkload(uint64(e.Seed.param("smallseed", 1)), int(e.Seed.param("smallevents", 100)))
 		bigCfg := corpusWorkload(uint64(e.Seed.param("bigseed", 2)), int(e.Seed.param("bigevents", 4000)))
-		smallRecs, _ := tracecache.Disabled().Get(smallCfg)
+		smallRecs, _ := tracecache.New(0).Get(smallCfg)
 		c := tracecache.New(e.Seed.param("budgetsmalls", 3) * entryBytes(smallRecs))
 		c.Get(smallCfg)
 		want, wantSum := bigCfg.Records()

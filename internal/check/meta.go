@@ -17,16 +17,15 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/tracecache"
 	"repro/internal/workload"
 )
 
 // The metamorphic runner checks relations that must hold between different
 // executions of the same simulation: none of the machinery wrapped around
-// the core — trace caching, worker pools, the HTTP service — is allowed to
-// change a single output byte. Each property returns nil or an error
-// describing the first violated relation; none of them know which execution
-// is "right", only that the two must agree.
+// the core — trace caching, worker pools, the block engine, the HTTP
+// service — is allowed to change a single output byte. Each property
+// returns nil or an error describing the first violated relation; none of
+// them know which execution is "right", only that the two must agree.
 
 // SameSeedIdentity checks that generating a workload twice yields
 // byte-identical IBT2 encodings and identical summaries: the generator must
@@ -47,40 +46,6 @@ func SameSeedIdentity(cfg workload.Config) error {
 	}
 	if err := summariesEqual(sumA, sumB); err != nil {
 		return fmt.Errorf("same-seed: config %s: %w", cfg.String(), err)
-	}
-	return nil
-}
-
-// TraceCacheIdentity checks that simulating a suite through a live trace
-// cache and through the disabled (always-regenerate) cache yields identical
-// counters and summaries: caching may only change wall-clock time, never
-// results. The budget is deliberately tiny so the run exercises eviction
-// and regeneration, not just warm hits.
-func TraceCacheIdentity(suite []workload.Config, build func() []predictor.IndirectPredictor, budget int64) error {
-	pool := sched.New(1)
-	cached := pool.Simulate(tracecache.New(budget), suite, build)
-	// A second pass over the same cache replays hits/evictions.
-	cachedAgain := pool.Simulate(tracecache.New(budget), suite, build)
-	plain := pool.Simulate(tracecache.Disabled(), suite, build)
-	if err := resultsEqual(cached, plain); err != nil {
-		return fmt.Errorf("tracecache on/off: %w", err)
-	}
-	if err := resultsEqual(cached, cachedAgain); err != nil {
-		return fmt.Errorf("tracecache rerun: %w", err)
-	}
-	return nil
-}
-
-// WorkerIdentity checks that a sharded pool returns byte-identical results
-// to the serial one-worker loop for every width in [2, maxWorkers].
-func WorkerIdentity(suite []workload.Config, build func() []predictor.IndirectPredictor, maxWorkers int) error {
-	cache := tracecache.New(0)
-	serial := sched.New(1).Simulate(cache, suite, build)
-	for w := 2; w <= maxWorkers; w++ {
-		parallel := sched.New(w).Simulate(cache, suite, build)
-		if err := resultsEqual(serial, parallel); err != nil {
-			return fmt.Errorf("workers 1 vs %d: %w", w, err)
-		}
 	}
 	return nil
 }
@@ -214,14 +179,6 @@ func Metamorphic(seed uint64, events int) error {
 		}
 	}
 	build := bench.Figure6Predictors
-	// A budget of one entry forces eviction between suite cells.
-	recs, _ := cfgs[0].Records()
-	if err := TraceCacheIdentity(cfgs, build, entryBytes(recs)); err != nil {
-		return err
-	}
-	if err := WorkerIdentity(cfgs, build, 4); err != nil {
-		return err
-	}
 	if err := BlocksVsRecords(cfgs, build, 4); err != nil {
 		return err
 	}

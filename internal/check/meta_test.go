@@ -24,18 +24,20 @@ func TestSameSeedIdentity(t *testing.T) {
 	}
 }
 
+// TestTraceCacheIdentity runs the blocks-vs-records matrix at one worker,
+// where it reduces to its cache axis: an unlimited budget and a one-trace
+// budget whose second cell evicts the first, so miss, hit-after-generate and
+// regenerate-after-evict all replay the fig6 set.
 func TestTraceCacheIdentity(t *testing.T) {
-	cfgs := metaConfigs(t)
-	recs, _ := cfgs[0].Records()
-	// One-entry budget: the second cell evicts the first, so the property
-	// covers miss, hit-after-generate and regenerate-after-evict paths.
-	if err := TraceCacheIdentity(cfgs, bench.Figure6Predictors, entryBytes(recs)); err != nil {
+	if err := BlocksVsRecords(metaConfigs(t), bench.Figure6Predictors, 1); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestWorkerIdentity runs the full blocks-vs-records matrix, worker widths
+// 1-4 under both budgets, over the fig7 set.
 func TestWorkerIdentity(t *testing.T) {
-	if err := WorkerIdentity(metaConfigs(t), bench.Figure7Predictors, 4); err != nil {
+	if err := BlocksVsRecords(metaConfigs(t), bench.Figure7Predictors, 4); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,15 +2,15 @@
 // changing a single output byte. The paper's evaluation is embarrassingly
 // parallel — (run × predictor-set) simulation cells share nothing but the
 // immutable cached traces — so a fixed worker pool executes cells in any
-// order, results travel back over a channel tagged with their cell index,
-// and the caller reassembles them in canonical suite order.
+// order, and each cell writes its result into its own slot of a slice laid
+// out in canonical suite order.
 //
 // Determinism contract: every cell builds its own predictors and its own
 // sim.Engine, reads only immutable inputs (the workload.Config and the
-// shared trace slice from internal/tracecache), and writes only its own
-// Result. A pool of one worker degenerates to a plain in-order loop on the
-// calling goroutine — the exact serial path — which the harness's
-// determinism test compares against high worker counts byte for byte.
+// shared blocks from internal/tracecache), and writes only its own Result.
+// A pool of one worker degenerates to a plain in-order loop on the calling
+// goroutine — the exact serial path — which the harness's determinism test
+// compares against high worker counts byte for byte.
 package sched
 
 import (
@@ -90,83 +90,21 @@ func (p *Pool) Map(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Simulate drives every suite config through a fresh predictor set built by
-// build, one cell per config, and returns results in suite order. Traces
-// are read through the cache, so each config is generated at most once per
-// process no matter how many Simulate calls share the cache.
-func (p *Pool) Simulate(cache *tracecache.Cache, suite []workload.Config, build func() []predictor.IndirectPredictor) []Result {
-	return p.runCells(len(suite), func(i int) Result {
-		recs, sum := cache.Get(suite[i])
-		preds := build()
-		e := sim.New(preds...)
-		e.ProcessAll(recs)
-		return Result{Config: suite[i], Summary: sum, Counters: e.Counters(), Preds: preds}
-	})
-}
-
-// SimulateBlocks is Simulate through the batched engine: each cell reads
-// the pre-decoded columnar blocks from the cache and replays them via
-// sim.Engine.ProcessBlocks. Per-predictor outcomes are identical to
-// Simulate's (the block engine is observationally equivalent and the
-// ppmcheck blocks-vs-records suite holds it to that), so callers may mix
-// the two paths freely; only wall-clock differs.
+// SimulateBlocks drives every suite config through a fresh predictor set
+// built by build, one cell per config, and returns results in suite order.
+// Each cell reads the pre-decoded columnar blocks from the cache — so each
+// config is generated and converted at most once per process no matter how
+// many calls share the cache — and replays them via
+// sim.Engine.ProcessBlocks, which the ppmcheck blocks-vs-records suite holds
+// to the record engine's exact counters.
 func (p *Pool) SimulateBlocks(cache *tracecache.Cache, suite []workload.Config, build func() []predictor.IndirectPredictor) []Result {
-	return p.runCells(len(suite), func(i int) Result {
+	results := make([]Result, len(suite))
+	p.Map(len(suite), func(i int) {
 		blks, sum := cache.GetBlocks(suite[i])
 		preds := build()
 		e := sim.New(preds...)
 		e.ProcessBlocks(blks)
-		return Result{Config: suite[i], Summary: sum, Counters: e.Counters(), Preds: preds}
+		results[i] = Result{Config: suite[i], Summary: sum, Counters: e.Counters(), Preds: preds}
 	})
-}
-
-// runCells executes n independent simulation cells across the pool and
-// reassembles their results in cell order — the shared fan-out under both
-// engine front ends. One worker (or one cell) degenerates to a plain
-// in-order loop on the calling goroutine, the exact serial path of the
-// determinism contract.
-func (p *Pool) runCells(n int, cell func(i int) Result) []Result {
-	results := make([]Result, n)
-	if n == 0 {
-		return results
-	}
-	if p.workers == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			results[i] = cell(i)
-		}
-		return results
-	}
-
-	type indexed struct {
-		i int
-		r Result
-	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	out := make(chan indexed)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out <- indexed{i, cell(i)}
-			}
-		}()
-	}
-	go func() {
-		for i := 0; i < n; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		close(out)
-	}()
-	for ir := range out {
-		results[ir.i] = ir.r
-	}
 	return results
 }

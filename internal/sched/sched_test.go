@@ -53,9 +53,9 @@ func TestSimulateParallelMatchesSerial(t *testing.T) {
 		p2, _ := bench.NewPredictor("PPM-hyb")
 		return []predictor.IndirectPredictor{p1, p2}
 	}
-	serial := New(1).Simulate(cache, suite, build)
+	serial := New(1).SimulateBlocks(cache, suite, build)
 	for _, workers := range []int{2, 8} {
-		par := New(workers).Simulate(cache, suite, build)
+		par := New(workers).SimulateBlocks(cache, suite, build)
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(par), len(serial))
 		}
@@ -72,7 +72,7 @@ func TestSimulateParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	// One generation per config regardless of how many Simulate calls ran.
+	// One generation per config regardless of how many calls ran.
 	if st := cache.Stats(); st.Generated != uint64(len(suite)) {
 		t.Errorf("cache generated %d traces for %d configs", st.Generated, len(suite))
 	}
@@ -83,7 +83,7 @@ func TestSimulateGivesEachCellPrivatePredictors(t *testing.T) {
 	cache := tracecache.New(0)
 	var mu sync.Mutex
 	seen := map[predictor.IndirectPredictor]bool{}
-	results := New(4).Simulate(cache, suite, func() []predictor.IndirectPredictor {
+	results := New(4).SimulateBlocks(cache, suite, func() []predictor.IndirectPredictor {
 		p, _ := bench.NewPredictor("BTB")
 		return []predictor.IndirectPredictor{p}
 	})
@@ -104,7 +104,7 @@ func TestSimulateGivesEachCellPrivatePredictors(t *testing.T) {
 }
 
 func TestSimulateEmptySuite(t *testing.T) {
-	res := New(4).Simulate(tracecache.New(0), nil, func() []predictor.IndirectPredictor { return nil })
+	res := New(4).SimulateBlocks(tracecache.New(0), nil, func() []predictor.IndirectPredictor { return nil })
 	if len(res) != 0 {
 		t.Errorf("empty suite returned %d results", len(res))
 	}

@@ -562,9 +562,16 @@ func (s *Server) runJob(j *job, cfgs []workload.Config, build func() []predictor
 		if j.ctx.Err() != nil {
 			return
 		}
-		recs, _ := s.cache.Get(cfgs[i])
+		blks, _ := s.cache.GetBlocks(cfgs[i])
 		e := sim.New(build()...)
-		processInterruptible(e, recs, j.ctx)
+		// Checking the job context between blocks lets cancellation and
+		// drain timeouts take effect mid-cell within a block's work.
+		for k := range blks {
+			if j.ctx.Err() != nil {
+				return
+			}
+			e.ProcessBlock(&blks[k])
+		}
 		if j.ctx.Err() != nil {
 			return
 		}
@@ -590,24 +597,6 @@ func (s *Server) finishJob(j *job) {
 		s.met.failed.Add(1)
 	}
 	s.met.latency.observe(t.Sub(j.created))
-}
-
-// processInterruptible drives records through the engine in chunks, checking
-// the job context between chunks so cancellation and drain timeouts take
-// effect mid-cell within ~a millisecond, while the per-record loop itself
-// stays the analyzed zero-alloc hot path.
-func processInterruptible(e *sim.Engine, recs []trace.Record, ctx context.Context) {
-	const chunk = 1 << 16
-	for start := 0; start < len(recs); start += chunk {
-		if ctx.Err() != nil {
-			return
-		}
-		end := start + chunk
-		if end > len(recs) {
-			end = len(recs)
-		}
-		e.ProcessAll(recs[start:end])
-	}
 }
 
 // cellResult captures one finished cell's counters.
@@ -636,10 +625,10 @@ func isTraceUpload(r *http.Request) bool {
 }
 
 // handleUpload simulates an uploaded trace against a predictor suite while
-// the body streams in: records decode one at a time through trace.Reader
-// and feed the engine directly, so a multi-gigabyte trace costs constant
-// memory. The simulation slot is try-acquired — a saturated server sheds
-// the upload with 429 before reading the body.
+// the body streams in: records decode through trace.Reader into one reused
+// block that feeds the block engine, so a multi-gigabyte trace costs
+// constant memory. The simulation slot is try-acquired — a saturated server
+// sheds the upload with 429 before reading the body.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	spec := JobSpec{
 		Suite:      r.URL.Query().Get("suite"),
@@ -711,17 +700,19 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 var errRequestGone = errors.New("serve: request context cancelled mid-upload")
 
-// streamTrace pumps decoded records into the engine, surfacing truncation
-// as trace.ErrTruncated (a client error, 400) and checking the request
-// context every few thousand records so an abandoned upload stops burning a
+// streamTrace pumps the upload through the engine one decoded block at a
+// time, surfacing truncation as trace.ErrTruncated (a client error, 400)
+// and checking the request context before every block — every
+// trace.BlockCap records — so an abandoned upload stops burning a
 // simulation slot.
 func streamTrace(e *sim.Engine, tr *trace.Reader, r *http.Request) error {
-	const checkEvery = 4096
-	for n := 0; ; n++ {
-		if n%checkEvery == 0 && r.Context().Err() != nil {
+	b := uploadBlocks.Get().(*trace.Block)
+	defer uploadBlocks.Put(b)
+	for {
+		if r.Context().Err() != nil {
 			return errRequestGone
 		}
-		rec, err := tr.Read()
+		err := tr.ReadBlock(b)
 		if err == io.EOF {
 			return nil
 		}
@@ -731,9 +722,13 @@ func streamTrace(e *sim.Engine, tr *trace.Reader, r *http.Request) error {
 			}
 			return err
 		}
-		e.Process(rec)
+		e.ProcessBlock(b)
 	}
 }
+
+// uploadBlocks recycles the decode block across uploads, so a served upload
+// allocates no lane storage once the pool is warm.
+var uploadBlocks = sync.Pool{New: func() any { return new(trace.Block) }}
 
 // --- plumbing --------------------------------------------------------------
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -462,6 +463,102 @@ func TestUploadTruncated400(t *testing.T) {
 	}
 	if s.Stats().BadUploads != 2 {
 		t.Errorf("bad-upload counter = %d, want 2", s.Stats().BadUploads)
+	}
+}
+
+// uploadReply is what the fig6 upload path answered: the status, the
+// streamed cell (on success) and the error message (on failure).
+type uploadReply struct {
+	code int
+	cell *CellResult
+	msg  string
+	err  error
+}
+
+// uploadCell posts an IBT2 body to the fig6 upload path. It touches no
+// testing.T, so concurrent uploads can call it from their own goroutines.
+func uploadCell(base string, body []byte) (r uploadReply) {
+	resp, err := http.Post(base+"/v1/jobs?suite=fig6", "application/x-ibt2", bytes.NewReader(body))
+	if err != nil {
+		return uploadReply{err: err}
+	}
+	defer resp.Body.Close()
+	r.code = resp.StatusCode
+	dec := json.NewDecoder(resp.Body)
+	if r.code != http.StatusOK {
+		var e map[string]string
+		r.err = dec.Decode(&e)
+		r.msg = e["error"]
+		return r
+	}
+	for {
+		var ev Event
+		if r.err = dec.Decode(&ev); r.err != nil {
+			return r
+		}
+		if ev.Type == "done" {
+			r.msg = ev.Error
+			return r
+		}
+		r.cell = ev.Cell
+	}
+}
+
+// TestUploadBlockBoundaries drives the per-block upload loop across block
+// boundaries: uploads one short of, exactly at, one past and two blocks
+// past trace.BlockCap, sent concurrently so they share the server's pooled
+// decode blocks, must serve sim.Run's counters over every record; a cut
+// inside a record of the second block must fail as a truncation that
+// counts the whole records before it.
+func TestUploadBlockBoundaries(t *testing.T) {
+	_, ts := testServer(t, Config{MaxConcurrent: 4})
+	const longest = 2*trace.BlockCap + 7
+	all := benchRecords(t, "gcc.cp", 4000)
+	if len(all) < longest {
+		t.Fatalf("workload has %d records, need %d", len(all), longest)
+	}
+	sizes := []int{trace.BlockCap - 1, trace.BlockCap, trace.BlockCap + 1, longest}
+	bodies := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		bodies[i] = encodeIBT2(t, all[:n])
+	}
+	replies := make([]uploadReply, len(sizes))
+	var wg sync.WaitGroup
+	for i := range sizes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			replies[i] = uploadCell(ts.URL, bodies[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, n := range sizes {
+		r := replies[i]
+		if r.err != nil || r.code != http.StatusOK || r.cell == nil {
+			t.Fatalf("%d records: status %d, error %q, %v", n, r.code, r.msg, r.err)
+		}
+		if r.cell.Records != uint64(n) {
+			t.Errorf("%d records: cell counted %d", n, r.cell.Records)
+		}
+		want := sim.Run(all[:n], bench.Figure6Predictors()...)
+		if len(r.cell.Predictors) != len(want) {
+			t.Fatalf("%d records: %d predictors served, want %d", n, len(r.cell.Predictors), len(want))
+		}
+		for k, p := range r.cell.Predictors {
+			w := PredictorResult{Name: want[k].Predictor, Lookups: want[k].Lookups,
+				Correct: want[k].Correct, Wrong: want[k].Wrong, NoPrediction: want[k].NoPrediction}
+			if p != w {
+				t.Errorf("%d records: served %+v, sim.Run %+v", n, p, w)
+			}
+		}
+	}
+
+	// Cut one byte into record k, which sits in the second block.
+	k := trace.BlockCap + 100
+	cut := encodeIBT2(t, all[:k+1])[:len(encodeIBT2(t, all[:k]))+1]
+	r := uploadCell(ts.URL, cut)
+	if want := fmt.Sprintf("truncated after %d records", k); r.code != http.StatusBadRequest || !strings.Contains(r.msg, want) {
+		t.Errorf("mid-record cut: status %d, error %q; want 400 naming %q", r.code, r.msg, want)
 	}
 }
 

@@ -62,26 +62,59 @@ type ValueAware interface {
 	SetValue(v uint32)
 }
 
+// Prediction is the per-dispatch outcome ProcessPredicted reports for the
+// engine's first predictor.
+type Prediction struct {
+	Target    uint64 // predicted target; meaningful only when Predicted
+	Predicted bool   // the predictor ventured a prediction
+	Correct   bool   // Predicted and the target matched the committed one
+}
+
+// step is the paper's per-record protocol for one predictor, and the only
+// place it is written out: on an MT indirect dispatch, forward the switch
+// value, predict at the pre-update history, record the outcome into c and
+// train; then observe the record. It returns the prediction (zero when the
+// record is not a dispatch). Process, ProcessPredicted and the block
+// engine's fallback all drive predictors through it; predictors share no
+// state with each other or with the RAS, so stepping them one at a time is
+// the same as interleaving their phases.
+//
+//ppm:hotpath per-record protocol step for one predictor
+func step(p predictor.IndirectPredictor, va ValueAware, c *stats.Counters, r trace.Record) (target uint64, ok bool) {
+	if r.MTIndirect() {
+		if va != nil {
+			va.SetValue(r.Value)
+		}
+		target, ok = p.Predict(r.PC)
+		c.Record(ok && target == r.Target, ok)
+		p.Update(r.PC, r.Target)
+	}
+	p.Observe(r)
+	return target, ok
+}
+
 // Process feeds one committed branch record to every predictor.
+func (e *Engine) Process(r trace.Record) { e.ProcessPredicted(r) }
+
+// ProcessPredicted feeds one record to every predictor, like Process, and
+// also surfaces the first predictor's prediction outcome. dispatched is
+// false (and the outcome zero) when the record is not an MT indirect
+// dispatch, where no prediction is made. The live-session predict stream
+// uses it to stream each prediction back while state mutates exactly as the
+// batch engine would.
 //
 //ppm:hotpath per-record engine step driving every predictor
-func (e *Engine) Process(r trace.Record) {
+func (e *Engine) ProcessPredicted(r trace.Record) (p Prediction, dispatched bool) {
 	e.records++
 	e.instrs += uint64(r.Gap) + 1
-	if r.MTIndirect() {
-		for i, p := range e.preds {
-			if va := e.va[i]; va != nil {
-				va.SetValue(r.Value)
-			}
-			target, ok := p.Predict(r.PC)
-			e.counters[i].Record(ok && target == r.Target, ok)
-			p.Update(r.PC, r.Target)
+	e.ras.Process(r)
+	for i, pr := range e.preds {
+		target, ok := step(pr, e.va[i], &e.counters[i], r)
+		if i == 0 {
+			p = Prediction{Target: target, Predicted: ok, Correct: ok && target == r.Target}
 		}
 	}
-	e.ras.Process(r)
-	for _, p := range e.preds {
-		p.Observe(r)
-	}
+	return p, r.MTIndirect()
 }
 
 // ProcessAll feeds a slice of records.
@@ -91,17 +124,20 @@ func (e *Engine) ProcessAll(recs []trace.Record) {
 	}
 }
 
-// ProcessReader streams records from a trace.Reader until EOF.
+// ProcessReader streams records from a trace.Reader until EOF, decoding
+// into one reused block and replaying it through the block engine. On a
+// decode error the records before it have been processed.
 func (e *Engine) ProcessReader(r *trace.Reader) error {
+	var b trace.Block
 	for {
-		rec, err := r.Read()
+		err := r.ReadBlock(&b)
 		if err == io.EOF {
 			return nil
 		}
+		e.ProcessBlock(&b)
 		if err != nil {
 			return err
 		}
-		e.Process(rec)
 	}
 }
 

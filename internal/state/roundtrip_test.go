@@ -3,6 +3,8 @@ package state_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -146,7 +148,29 @@ func TestCorruptSnapshots(t *testing.T) {
 	}
 	check1(append(append([]byte(nil), snap...), 0xFF), "trailing byte")
 	check1([]byte("XXXX\x01"), "bad magic")
-	check1([]byte("PPMS\x02"), "bad version")
+	check1([]byte("PPMS\x03"), "bad version")
+}
+
+// TestLoadRejectsOtherVersions requires a snapshot written under another
+// format version — version 1 predates the PHT useful counters — to fail as
+// a typed ErrMismatch naming both versions, never to parse against the
+// current layout.
+func TestLoadRejectsOtherVersions(t *testing.T) {
+	e := sim.New(core.PaperHyb())
+	e.ProcessAll(check.RandomTrace(0xC0DE, 500))
+	snap := append([]byte(nil), state.SaveBytes(e)...)
+	for _, v := range []byte{1, state.Version + 1} {
+		old := append([]byte(nil), snap...)
+		old[4] = v
+		err := state.LoadBytes(sim.New(core.PaperHyb()), old)
+		if !errors.Is(err, state.ErrMismatch) {
+			t.Fatalf("version %d: got %v, want ErrMismatch", v, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) ||
+			!strings.Contains(msg, fmt.Sprintf("version %d", state.Version)) {
+			t.Errorf("version %d: error %q does not name both versions", v, msg)
+		}
+	}
 }
 
 // TestSizeOf sanity-checks the budget-accounting helper: positive, stable

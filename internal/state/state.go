@@ -10,7 +10,7 @@
 //
 //	snapshot := magic version section*
 //	magic    := "PPMS"                        (4 bytes)
-//	version  := 0x01                          (1 byte)
+//	version  := 0x02                          (1 byte)
 //	section  := id:uvarint len:u32le payload crc:u32le
 //
 // The CRC is CRC-32C (Castagnoli) over the payload bytes, so every section
@@ -43,18 +43,21 @@ import (
 )
 
 // Version is the current snapshot format version, written after the magic.
-const Version = 1
+// Any change to a section's layout bumps it. Version 2 added the PHT's
+// useful counters (the u-reset period and per-entry u bits) to SecPHT.
+const Version = 2
 
 // magic identifies a predictor-state snapshot.
 const magic = "PPMS"
 
-// ErrCorrupt reports malformed snapshot bytes: bad magic, unknown version,
-// truncated framing, CRC mismatch, or out-of-range values. Errors returned
+// ErrCorrupt reports malformed snapshot bytes: bad magic, truncated
+// framing, CRC mismatch, or out-of-range values. Errors returned
 // by Restore wrap ErrCorrupt with detail; test with errors.Is.
 var ErrCorrupt = errors.New("state: corrupt snapshot")
 
-// ErrMismatch reports a structurally valid snapshot whose configuration
-// fingerprint does not match the predictor it is being restored into.
+// ErrMismatch reports a structurally valid snapshot whose format version or
+// configuration fingerprint does not match the predictor it is being
+// restored into.
 var ErrMismatch = errors.New("state: snapshot does not match predictor configuration")
 
 // corruptf wraps ErrCorrupt with formatted detail.
@@ -138,7 +141,7 @@ func Load(s Snapshotter, r *Reader, data []byte) error {
 		return corruptf("bad magic %q", data[:len(magic)])
 	}
 	if v := data[len(magic)]; v != Version {
-		return corruptf("unsupported version %d (have %d)", v, Version)
+		return mismatchf("snapshot format version %d, this build reads version %d", v, Version)
 	}
 	r.pos = len(magic) + 1
 	if err := s.Restore(r); err != nil {

@@ -30,7 +30,9 @@ type Block struct {
 	Meta   []uint8
 	Gap    []uint32
 	// Value is nil when no record in the block carries a switch value,
-	// the common case; otherwise it has the same length as Meta.
+	// the common case; otherwise it has the same length as Meta. A block
+	// refilled by Reader.ReadBlock keeps its lane once it has one, so
+	// there a non-nil lane may hold only zeros.
 	Value []uint32
 
 	// MTIdx lists, in stream order, the positions of multi-target
@@ -201,28 +203,27 @@ func BlocksRecords(blks []Block) []Record {
 	return recs
 }
 
-// ReadBlocks drains the reader straight into columnar blocks of BlockCap
-// records, without materializing an intermediate []Record — the decode path
-// the pre-decoded block cache fills once so re-simulation never re-parses
-// varints. On error the blocks decoded so far are returned alongside it.
-func (r *Reader) ReadBlocks() ([]Block, error) {
-	var blks []Block
-	b := newBlock(BlockCap)
-	for {
+// ReadBlock refills b with the next run of up to BlockCap records, reusing
+// b's lane storage (the Value lane included) so a streaming decode
+// allocates nothing per block once the lanes have grown. It returns io.EOF,
+// with b empty, once the stream is exhausted; a short final block comes
+// back with a nil error first. On any other error b holds the records
+// decoded before it.
+func (r *Reader) ReadBlock(b *Block) error {
+	if cap(b.Meta) < BlockCap {
+		*b = newBlock(BlockCap)
+	}
+	b.PC, b.Target, b.Meta, b.Gap = b.PC[:0], b.Target[:0], b.Meta[:0], b.Gap[:0]
+	b.Value, b.MTIdx, b.PIBIdx, b.GapSum = b.Value[:0], b.MTIdx[:0], b.PIBIdx[:0], 0
+	for b.Len() < BlockCap {
 		rec, err := r.Read()
+		if err == io.EOF && b.Len() > 0 {
+			return nil
+		}
 		if err != nil {
-			if b.Len() > 0 {
-				blks = append(blks, b)
-			}
-			if err == io.EOF {
-				err = nil
-			}
-			return blks, err
+			return err
 		}
 		b.append(rec)
-		if b.Len() == BlockCap {
-			blks = append(blks, b)
-			b = newBlock(BlockCap)
-		}
 	}
+	return nil
 }

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -153,6 +156,23 @@ func TestBlockBytesColumnarModel(t *testing.T) {
 	}
 }
 
+// readBlocks drains rd through ReadBlock into one reused block, collecting
+// the decoded records and each block's length.
+func readBlocks(rd *Reader) (recs []Record, lens []int, err error) {
+	var b Block
+	for {
+		err = rd.ReadBlock(&b)
+		if err == io.EOF {
+			return recs, lens, nil
+		}
+		lens = append(lens, b.Len())
+		recs = append(recs, BlocksRecords([]Block{b})...)
+		if err != nil {
+			return recs, lens, err
+		}
+	}
+}
+
 func TestReadBlocksMatchesReadAll(t *testing.T) {
 	recs := blockRecords(10_000) // > 2 full BlockCap blocks plus a remainder
 	var buf bytes.Buffer
@@ -174,16 +194,13 @@ func TestReadBlocksMatchesReadAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blks, err := rd.ReadBlocks()
+	got, lens, err := readBlocks(rd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range blks {
-		if i < len(blks)-1 && b.Len() != BlockCap {
-			t.Errorf("block %d holds %d records, want BlockCap=%d", i, b.Len(), BlockCap)
-		}
+	if want := []int{BlockCap, BlockCap, len(recs) - 2*BlockCap}; !reflect.DeepEqual(lens, want) {
+		t.Errorf("block lengths %v, want %v", lens, want)
 	}
-	got := BlocksRecords(blks)
 	if len(got) != len(recs) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
 	}
@@ -191,6 +208,22 @@ func TestReadBlocksMatchesReadAll(t *testing.T) {
 		if got[i] != recs[i] {
 			t.Fatalf("record %d: got %+v, want %+v", i, got[i], recs[i])
 		}
+	}
+
+	// Refilling a grown block reuses its lanes: with the reader reset over
+	// the same bytes, the steady-state decode loop allocates nothing.
+	var b Block
+	src := bytes.NewReader(data)
+	allocs := testing.AllocsPerRun(5, func() {
+		src.Reset(data)
+		if err := rd.Reset(src); err != nil {
+			t.Fatal(err)
+		}
+		for rd.ReadBlock(&b) == nil {
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadBlock refill allocates %.0f times per stream, want 0", allocs)
 	}
 }
 
@@ -207,16 +240,12 @@ func TestReadBlocksTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blks, err := rd.ReadBlocks()
-	if err == nil {
-		t.Fatal("truncated stream decoded without error")
+	got, _, err := readBlocks(rd)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated stream: err = %v, want ErrTruncated", err)
 	}
-	n := 0
-	for i := range blks {
-		n += blks[i].Len()
-	}
-	if n != 9 {
-		t.Errorf("salvaged %d records from the truncated stream, want 9", n)
+	if len(got) != 9 {
+		t.Errorf("salvaged %d records from the truncated stream, want 9", len(got))
 	}
 }
 

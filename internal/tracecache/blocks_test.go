@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestGetBlocksSharesConversionAndAccountsColumnarBytes(t *testing.T) {
@@ -106,23 +107,6 @@ func TestGetBlocksCombinedOversizeForgotten(t *testing.T) {
 	}
 }
 
-func TestGetBlocksDisabledRegeneratesEachCall(t *testing.T) {
-	c := Disabled()
-	cfg := testConfig(1, 300)
-	b1, _ := c.GetBlocks(cfg)
-	b2, _ := c.GetBlocks(cfg)
-	if &b1[0] == &b2[0] {
-		t.Error("disabled cache shared block storage across calls")
-	}
-	st := c.Stats()
-	if st.Generated != 2 || st.Misses != 2 {
-		t.Errorf("stats = %v, want 2 generations and 2 misses", st)
-	}
-	if st.Bytes != 0 || st.BlockBytes != 0 || st.Entries != 0 {
-		t.Errorf("disabled cache accounted residency: %v", st)
-	}
-}
-
 func TestGetBlocksConcurrentSingleConversion(t *testing.T) {
 	c := New(0)
 	cfg := testConfig(1, 500)
@@ -150,5 +134,41 @@ func TestGetBlocksConcurrentSingleConversion(t *testing.T) {
 	blks, _ := c.GetBlocks(cfg)
 	if want := trace.BlocksBytes(blks); st.BlockBytes != want {
 		t.Errorf("BlockBytes = %d after concurrent GetBlocks, want exactly one conversion's %d", st.BlockBytes, want)
+	}
+}
+
+// TestConcurrentGetBlocksEvictKeepsLedger converts traces on several
+// goroutines under a budget that holds about one and a half of them, so
+// entries are evicted while other entries convert. Once quiet, the byte
+// ledgers must equal the sum over the resident entries; run under -race it
+// also guards the conversion's writes against a concurrent evictOver.
+func TestConcurrentGetBlocksEvictKeepsLedger(t *testing.T) {
+	cfgs := []workload.Config{testConfig(1, 300), testConfig(2, 300), testConfig(3, 300)}
+	probe := New(0)
+	probe.GetBlocks(cfgs[0])
+	one := probe.Stats().Bytes
+	c := New(one + one/2)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				c.GetBlocks(cfgs[(g+i)%len(cfgs)])
+			}
+		}(g)
+	}
+	wg.Wait()
+	var bytes, blockBytes int64
+	for _, e := range c.entries { //lint:sorted commutative sum
+		bytes += e.bytes
+		blockBytes += e.blockBytes
+	}
+	st := c.Stats()
+	if st.Evicted == 0 {
+		t.Fatalf("budget never evicted: %v", st)
+	}
+	if st.Bytes != bytes || st.BlockBytes != blockBytes {
+		t.Errorf("ledger Bytes=%d BlockBytes=%d, resident entries hold %d and %d", st.Bytes, st.BlockBytes, bytes, blockBytes)
 	}
 }

@@ -29,8 +29,8 @@ import (
 const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 
 // Stats counts cache traffic since construction. Generated counts actual
-// trace syntheses; with caching enabled Generated == Misses, and the
-// experiment harness asserts Generated stays at one per suite run.
+// trace syntheses (one per miss), and the experiment harness asserts it
+// stays at one per suite run.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
@@ -79,10 +79,9 @@ type entry struct {
 
 // Cache holds generated traces under a memory budget.
 type Cache struct {
-	mu       sync.Mutex
-	budget   int64 // bytes; 0 means unlimited
-	disabled bool
-	entries  map[string]*entry
+	mu      sync.Mutex
+	budget  int64 // bytes; 0 means unlimited
+	entries map[string]*entry
 	// LRU doubly-linked list with sentinel-free ends: head is most
 	// recently used, tail is the eviction candidate.
 	head, tail *entry
@@ -96,14 +95,6 @@ func New(budgetBytes int64) *Cache {
 		budgetBytes = 0
 	}
 	return &Cache{budget: budgetBytes, entries: make(map[string]*entry)}
-}
-
-// Disabled returns a cache that never retains anything: every Get
-// regenerates the trace. It preserves the pre-cache behaviour (and cost) of
-// the experiment harness, which the benchmark snapshot uses as its serial
-// baseline.
-func Disabled() *Cache {
-	return &Cache{disabled: true, entries: make(map[string]*entry)}
 }
 
 // Fingerprint derives the cache key of a Config from its identifying and
@@ -123,15 +114,6 @@ func Fingerprint(cfg workload.Config) string {
 // after eviction) and otherwise returning the shared cached copy. The
 // returned slice is shared: callers must not modify it.
 func (c *Cache) Get(cfg workload.Config) ([]trace.Record, workload.Summary) {
-	if c.disabled {
-		recs, sum := generate(cfg)
-		c.mu.Lock()
-		c.stats.Misses++
-		c.stats.Generated++
-		c.mu.Unlock()
-		return recs, sum
-	}
-
 	e := c.getEntry(Fingerprint(cfg), cfg)
 	<-e.ready
 	return e.recs, e.sum
@@ -200,15 +182,6 @@ func (c *Cache) getEntry(key string, cfg workload.Config) *entry {
 // the entry is served to its waiters and forgotten, as Get does for
 // oversize record sets.
 func (c *Cache) GetBlocks(cfg workload.Config) ([]trace.Block, workload.Summary) {
-	if c.disabled {
-		recs, sum := generate(cfg)
-		c.mu.Lock()
-		c.stats.Misses++
-		c.stats.Generated++
-		c.mu.Unlock()
-		return trace.Blocks(recs), sum
-	}
-
 	key := Fingerprint(cfg)
 	e := c.getEntry(key, cfg)
 	<-e.ready
@@ -227,13 +200,15 @@ func (c *Cache) GetBlocks(cfg workload.Config) ([]trace.Block, workload.Summary)
 	blks := trace.Blocks(e.recs)
 	bb := trace.BlocksBytes(blks)
 	e.blocks = blks
-	e.blockBytes = bb
 	close(ready)
 
 	c.mu.Lock()
 	// Only an entry still mapped (i.e. still resident — getEntry settles
 	// accounting before ready closes) carries the block storage into the
 	// ledger; an entry evicted while converting just serves its waiters.
+	// blockBytes is set here, under the lock, because a concurrent
+	// evictOver reads it: it must say what this entry added to
+	// Stats.BlockBytes, which is nothing until now.
 	if c.entries[key] == e {
 		if c.budget > 0 && e.bytes+bb > c.budget {
 			c.unlink(e)
@@ -242,6 +217,7 @@ func (c *Cache) GetBlocks(cfg workload.Config) ([]trace.Block, workload.Summary)
 			c.stats.Oversize++
 		} else {
 			e.bytes += bb
+			e.blockBytes = bb
 			c.stats.Bytes += bb
 			c.stats.BlockBytes += bb
 			c.evictOver()

@@ -94,25 +94,6 @@ func TestBudgetEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestDisabledAlwaysRegenerates(t *testing.T) {
-	c := Disabled()
-	cfg := testConfig(1, 300)
-	r1, _ := c.Get(cfg)
-	r2, _ := c.Get(cfg)
-	if &r1[0] == &r2[0] {
-		t.Error("disabled cache returned a shared backing array")
-	}
-	st := c.Stats()
-	if st.Generated != 2 || st.Hits != 0 || st.Entries != 0 {
-		t.Errorf("disabled cache stats = %v, want 2 generations, 0 hits, 0 entries", st)
-	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("regenerated record %d differs", i)
-		}
-	}
-}
-
 func TestConcurrentSameKeyGeneratesOnce(t *testing.T) {
 	c := New(0)
 	cfg := testConfig(7, 400)
