@@ -1,10 +1,11 @@
-# Build and verification entry points. `make ci` is what .github/workflows/ci.yml
-# runs; every target works offline with only the Go toolchain installed.
+# Build and verification entry points. `make ci` runs the same checks as
+# .github/workflows/ci.yml, which gives each `ci` prerequisite its own step;
+# every target works offline with only the Go toolchain installed.
 
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen escapes-check escapes-update bce-check bce-update inline-check inline-update gates grid-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
+.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen gates gates-update grid-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
 
 all: build
 
@@ -32,47 +33,28 @@ ppmlint:
 	$(GO) run ./cmd/ppmlint ./...
 
 # Just the concurrency-discipline analyzers — goroutine lifetimes, context
-# flow, lock ordering, unchecked cleanup errors — for a fast pre-commit pass
-# and a named CI step. `make ppmlint` (via `make lint`) runs them too.
+# flow, lock ordering, unchecked cleanup errors — for a fast local pass.
+# `make ppmlint` (via `make lint`) runs them too.
 lint-concurrency:
 	$(GO) run ./cmd/ppmlint -run golifetime,ctxflow,lockorder,mustclose ./...
 
-# Compiler escape-budget gate over the hot-path packages: fails when any of
-# them gains a heap escape beyond internal/lint/escapes.baseline.
-escapes-check:
-	$(GO) run ./cmd/escapegate
-
-# Regenerate the escape baseline after an intentional change; commit the diff.
-escapes-update:
-	$(GO) run ./cmd/escapegate -update
-
-# Bounds-check-elimination gate: fails when a hot-path file gains a surviving
-# bounds check beyond internal/lint/bce.baseline. The idxmask analyzer (part
-# of `make ppmlint`) points at the index derivation to fix.
-bce-check:
-	$(GO) run ./cmd/bcegate
-
-# Regenerate the bounds-check baseline after an intentional change.
-bce-update:
-	$(GO) run ./cmd/bcegate -update
-
-# Inlining-budget gate: every hot-set function must be inlinable or listed
-# in internal/lint/inline.baseline with the compiler's cost and reason.
-inline-check:
-	$(GO) run ./cmd/inlinegate
-
-# Regenerate the inlining baseline after an intentional change.
-inline-update:
-	$(GO) run ./cmd/inlinegate -update
-
 # Just the codegen-adjacent analyzers — index-safety dataflow (idxmask) and
-# atomic cache-line layout (falseshare) — for a fast pass over the predictor
-# tables. `make ppmlint` (via `make lint`) runs them too.
+# atomic cache-line layout (falseshare) — for a fast local pass over the
+# predictor tables. `make ppmlint` (via `make lint`) runs them too.
 lint-codegen:
 	$(GO) run ./cmd/ppmlint -run idxmask,falseshare ./...
 
-# All three compiler-diagnostic budget gates against their baselines.
-gates: escapes-check bce-check inline-check
+# Codegen budget gate over the hot set (internal/lint/hotset): fails when a
+# hot function gains a heap escape, a surviving bounds check or an inlining
+# refusal beyond internal/lint/codegen.baseline. One go build covers every
+# package with hot functions; the idxmask and hotpath analyzers point at
+# the fix.
+gates:
+	$(GO) run ./cmd/codegate
+
+# Regenerate the codegen baseline after an intentional change; commit the diff.
+gates-update:
+	$(GO) run ./cmd/codegate -update
 
 # The experiment grid's correctness gate: every registry entry renders the
 # golden record-engine bytes at every -j, each trace is generated once, the
@@ -131,4 +113,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzStateRoundTrip -fuzztime=$(FUZZTIME) ./internal/state
 
-ci: build lint lint-concurrency lint-codegen gates race grid-smoke serve-smoke session-smoke check-quick fuzz-smoke
+ci: build lint gates race grid-smoke serve-smoke session-smoke check-quick check-ittage fuzz-smoke

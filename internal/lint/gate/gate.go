@@ -1,13 +1,16 @@
-// Package gate is the shared machinery of the compiler-diagnostic gates
-// (cmd/escapegate, cmd/bcegate, cmd/inlinegate): run the Go compiler with a
-// diagnostic flag over the hot-path packages, normalize the output into
-// stable keys, and compare the keyed counts against a checked-in baseline.
+// Package gate is the machinery of the codegen budget gate (cmd/codegate):
+// one `go build` over the packages that hold hot functions, with escape,
+// inlining and bounds-check diagnostics on; each diagnostic charged to the
+// hot function (internal/lint/hotset) whose source span contains it; the
+// keyed counts diffed against one checked-in baseline.
 //
-// Each gate owns its flag, its normalization and its baseline file; this
-// package owns the build invocation, the "<count>\t<key>" baseline format,
-// and the drift report — an added/removed diff plus the re-baseline hint,
-// so a failing gate tells the developer exactly which diagnostics appeared
-// and which budgeted ones are gone.
+// A key is "<kind>\t<file>\t<function>\t<message>", kind one of escape, bce
+// or inline. Keys carry no line numbers, so unrelated edits do not churn
+// the budget. Diagnostics outside the hot set — constructors, snapshot
+// codecs, handlers, standard-library generic instantiations — are dropped:
+// the gate budgets only what runs once per lookup. The drift report is an
+// added/removed diff plus the re-baseline hint, so a failing gate names the
+// function that gained a diagnostic.
 package gate
 
 import (
@@ -17,22 +20,34 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/lint"
+	"repro/internal/lint/hotset"
 )
 
-// Diag is one normalized compiler diagnostic.
+// Key kinds.
+const (
+	Escape = "escape"
+	BCE    = "bce"
+	Inline = "inline"
+)
+
+// Diag is one compiler diagnostic.
 type Diag struct {
 	// File is the path as the compiler printed it.
 	File string
+	Line int
 	// Msg is the diagnostic text after the position.
 	Msg string
 }
 
 // diagLine matches one compiler diagnostic: file.go:line:col: message.
-var diagLine = regexp.MustCompile(`^(.+\.go):\d+:(?:\d+:)? (.+)$`)
+var diagLine = regexp.MustCompile(`^(.+\.go):(\d+):(?:\d+:)? (.+)$`)
 
 // Build compiles pkgs with the given -gcflags value and returns every
 // parsed compiler diagnostic. The build cache replays compiler diagnostics,
@@ -56,21 +71,118 @@ func Build(gcflags string, pkgs []string) ([]Diag, error) {
 		if m == nil {
 			continue
 		}
-		diags = append(diags, Diag{File: m[1], Msg: m[2]})
+		line, _ := strconv.Atoi(m[2])
+		diags = append(diags, Diag{File: m[1], Line: line, Msg: m[3]})
 	}
 	return diags, sc.Err()
 }
 
-// Count folds diagnostics through match into key -> occurrence counts;
-// match returns the normalized key and whether the diagnostic is gated.
-func Count(diags []Diag, match func(Diag) (string, bool)) map[string]int {
-	counts := map[string]int{}
-	for _, d := range diags {
-		if key, ok := match(d); ok {
-			counts[key]++
+// Func is one hot function's source span, named as the compiler names it.
+type Func struct {
+	// File is the path in the compiler's form: relative to the build
+	// directory.
+	File string
+	// Name is the compiler's display name, e.g. "(*PPM).Predict".
+	Name string
+	// Start and End are the declaration's first and last lines.
+	Start, End int
+}
+
+// HotFuncs computes each package's hot set and returns the span of every
+// hot function, with file paths relative to dir (the directory the build
+// runs in), plus the import paths of the packages that have any.
+func HotFuncs(pkgs []*lint.Package, dir string) (funcs []Func, hotPkgs []string) {
+	for _, pkg := range pkgs {
+		pass := &lint.Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info}
+		hot, _ := hotset.Compute(pass)
+		if len(hot) == 0 {
+			continue
+		}
+		hotPkgs = append(hotPkgs, pkg.ImportPath)
+		for _, hf := range hot {
+			start, end := pkg.Fset.Position(hf.Decl.Pos()), pkg.Fset.Position(hf.Decl.End())
+			file := start.Filename
+			if rel, err := filepath.Rel(dir, file); err == nil && !strings.HasPrefix(rel, "..") {
+				file = rel
+			}
+			funcs = append(funcs, Func{File: file, Name: hotset.Label(hf.Decl), Start: start.Line, End: end.Line})
 		}
 	}
+	return funcs, hotPkgs
+}
+
+// Attribute charges each diagnostic to the hot function whose span contains
+// it and returns the keyed counts. A diagnostic at an inlined call lands on
+// the caller's line, so it is charged to the caller. Escapes count in the
+// colon-less form only: under -m=2 the "... escapes to heap:" twin opens
+// the flow explanation of the same escape. Every hot function without a
+// "can inline" verdict yields an inline key with the compiler's reason.
+func Attribute(diags []Diag, funcs []Func) map[string]int {
+	byFile := map[string][]Func{}
+	for _, f := range funcs {
+		byFile[f.File] = append(byFile[f.File], f)
+	}
+	counts := map[string]int{}
+	inlinable := map[Func]bool{}
+	refused := map[Func]string{}
+	for _, d := range diags {
+		f, ok := enclosing(byFile[d.File], d.Line)
+		if !ok {
+			continue
+		}
+		if rest, ok := strings.CutPrefix(d.Msg, "can inline "); ok {
+			if name, _, _ := strings.Cut(rest, " with cost "); name == f.Name {
+				inlinable[f] = true
+			}
+			continue
+		}
+		if rest, ok := strings.CutPrefix(d.Msg, "cannot inline "); ok {
+			if name, reason, _ := strings.Cut(rest, ": "); name == f.Name {
+				refused[f] = reason
+			}
+			continue
+		}
+		switch {
+		case strings.HasSuffix(d.Msg, "escapes to heap") || strings.HasPrefix(d.Msg, "moved to heap: "):
+			counts[key(Escape, f, d.Msg)]++
+		case d.Msg == "Found IsInBounds" || d.Msg == "Found IsSliceInBounds":
+			counts[key(BCE, f, d.Msg)]++
+		}
+	}
+	for _, f := range funcs {
+		if inlinable[f] {
+			continue
+		}
+		reason, ok := refused[f]
+		if !ok {
+			reason = "no inlining verdict from the compiler"
+		}
+		counts[key(Inline, f, reason)]++
+	}
 	return counts
+}
+
+func enclosing(funcs []Func, line int) (Func, bool) {
+	for _, f := range funcs {
+		if f.Start <= line && line <= f.End {
+			return f, true
+		}
+	}
+	return Func{}, false
+}
+
+func key(kind string, f Func, msg string) string {
+	return kind + "\t" + f.File + "\t" + f.Name + "\t" + msg
+}
+
+// Totals sums occurrences per key kind.
+func Totals(counts map[string]int) map[string]int {
+	totals := map[string]int{}
+	for k, n := range counts {
+		kind, _, _ := strings.Cut(k, "\t")
+		totals[kind] += n
+	}
+	return totals
 }
 
 // Write renders counts in the stable on-disk form — "<count>\t<key>" lines,
@@ -108,15 +220,6 @@ func Read(path string) (map[string]int, error) {
 		counts[key] += c
 	}
 	return counts, nil
-}
-
-// Total sums all occurrences.
-func Total(counts map[string]int) int {
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	return n
 }
 
 // Diff compares the current counts against the baseline and prints the

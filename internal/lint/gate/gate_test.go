@@ -2,17 +2,175 @@ package gate
 
 import (
 	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
+
+// fixtureSrc is a small hot-set package: Lookup is an annotated root that
+// calls a //go:noinline helper (hot by reachability) and a //ppm:coldpath
+// helper whose body the compiler inlines into Lookup. New and Snapshot are
+// never reached from a root. Each diagnostic site carries a marker comment
+// so the hand-built diagnostics below follow the source when it moves.
+const fixtureSrc = `package hot
+
+type Table struct {
+	slots []uint64
+}
+
+// New builds a table.
+func New(n int) *Table {
+	return &Table{slots: make([]uint64, n)} // @ctor
+}
+
+// Lookup is a per-lookup root.
+//
+//ppm:hotpath
+func (t *Table) Lookup(pc uint64) uint64 {
+	r := t.recent(4) // @call
+	return t.slots[pc&uint64(len(t.slots)-1)] + r[0] + t.ensureSlow(pc) // @index
+}
+
+// ensureSlow is a hot helper kept out of line.
+//
+//go:noinline
+func (t *Table) ensureSlow(pc uint64) uint64 {
+	return t.slots[pc] // @slow
+}
+
+// recent returns scratch history.
+//
+//ppm:coldpath undersized scratch is reallocated
+func (t *Table) recent(n int) []uint64 {
+	return make([]uint64, n) // @recent
+}
+
+// Snapshot copies the table.
+func (t *Table) Snapshot() []uint64 {
+	return append([]uint64(nil), t.slots...) // @snap
+}
+`
+
+const fixtureFile = "/mod/internal/hot/hot.go"
+
+// fixtureFuncs parses and type-checks src as the fixture package and
+// returns its hot-function spans relative to the module root.
+func fixtureFuncs(t *testing.T, src string) []Func {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, fixtureFile, src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	files := []*ast.File{f}
+	tpkg, err := (&types.Config{}).Check("repro/internal/hot", fset, files, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := &lint.Package{ImportPath: "repro/internal/hot", Fset: fset, Files: files, Types: tpkg, Info: info}
+	funcs, hotPkgs := HotFuncs([]*lint.Package{pkg}, "/mod")
+	if !reflect.DeepEqual(hotPkgs, []string{"repro/internal/hot"}) {
+		t.Fatalf("hot packages = %v", hotPkgs)
+	}
+	return funcs
+}
+
+// at returns a diagnostic on the line of src carrying marker.
+func at(t *testing.T, src, marker, msg string) Diag {
+	t.Helper()
+	return Diag{File: "internal/hot/hot.go", Line: lineOf(t, src, "// "+marker), Msg: msg}
+}
+
+// fixtureDiags is what `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'`
+// would print for src, reduced to the lines the gate reads.
+func fixtureDiags(t *testing.T, src string) []Diag {
+	return []Diag{
+		at(t, src, "@ctor", "make([]uint64, n) escapes to heap"),
+		at(t, src, "@ctor", "&Table{...} escapes to heap"),
+		at(t, src, "@snap", "append([]uint64(nil), t.slots...) escapes to heap"),
+		at(t, src, "@recent", "make([]uint64, n) escapes to heap"),
+		// recent's make, inlined into Lookup, reported at the call site;
+		// -m=2 prints the colon-terminated flow opener before the verdict.
+		at(t, src, "@call", "make([]uint64, n) escapes to heap:"),
+		at(t, src, "@call", "make([]uint64, n) escapes to heap"),
+		at(t, src, "@call", "inlining call to (*Table).recent"),
+		at(t, src, "@index", "Found IsInBounds"),
+		at(t, src, "@slow", "Found IsInBounds"),
+		at(t, src, "@slow", "Found IsInBounds"),
+		at(t, src, "@slow", "moved to heap: pc"),
+		{File: "/usr/local/go/src/net/http/mapping.go", Line: 20, Msg: "map[go.shape.string]go.shape.*uint8{} escapes to heap"},
+	}
+}
+
+func TestAttribute(t *testing.T) {
+	got := Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc))
+	want := map[string]int{
+		// The inlined callee's make is charged to the caller, once.
+		"escape\tinternal/hot/hot.go\t(*Table).Lookup\tmake([]uint64, n) escapes to heap": 1,
+		"bce\tinternal/hot/hot.go\t(*Table).Lookup\tFound IsInBounds":                     1,
+		// The //go:noinline hot helper keeps its diagnostics, counted.
+		"bce\tinternal/hot/hot.go\t(*Table).ensureSlow\tFound IsInBounds":     2,
+		"escape\tinternal/hot/hot.go\t(*Table).ensureSlow\tmoved to heap: pc": 1,
+		// Neither function has a "can inline" verdict in the stream.
+		"inline\tinternal/hot/hot.go\t(*Table).Lookup\tno inlining verdict from the compiler":     1,
+		"inline\tinternal/hot/hot.go\t(*Table).ensureSlow\tno inlining verdict from the compiler": 1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("keys:\n%s\nwant:\n%s", dump(got), dump(want))
+	}
+}
+
+func TestAttributeInlineVerdicts(t *testing.T) {
+	diags := []Diag{
+		at(t, fixtureSrc, "@ctor", "can inline New with cost 20 as: func(int) *Table { ... }"),
+		{File: "internal/hot/hot.go", Line: lineOf(t, fixtureSrc, "func (t *Table) Lookup"), Msg: "can inline (*Table).Lookup with cost 70 as: ..."},
+		{File: "internal/hot/hot.go", Line: lineOf(t, fixtureSrc, "func (t *Table) ensureSlow"), Msg: "cannot inline (*Table).ensureSlow: marked go:noinline"},
+		// A closure's verdict inside a hot function is not the function's.
+		at(t, fixtureSrc, "@index", "cannot inline (*Table).Lookup.func1: unhandled op CLOSURE"),
+	}
+	got := Attribute(diags, fixtureFuncs(t, fixtureSrc))
+	want := map[string]int{"inline\tinternal/hot/hot.go\t(*Table).ensureSlow\tmarked go:noinline": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("keys:\n%s\nwant:\n%s", dump(got), dump(want))
+	}
+}
+
+func TestAttributeIgnoresLineShift(t *testing.T) {
+	shifted := strings.Replace(fixtureSrc, "// Lookup is", "\n\n\n\n// Lookup is", 1)
+	before := Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc))
+	after := Attribute(fixtureDiags(t, shifted), fixtureFuncs(t, shifted))
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("shifting Lookup changed the keys:\n%s\nvs\n%s", dump(before), dump(after))
+	}
+}
+
+func TestTotals(t *testing.T) {
+	got := Totals(map[string]int{"escape\ta": 2, "escape\tb": 1, "bce\tc": 4})
+	if want := map[string]int{Escape: 3, BCE: 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("totals = %v, want %v", got, want)
+	}
+}
 
 func TestBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.baseline")
 	counts := map[string]int{
-		"a.go\tescapes to heap": 2,
-		"b.go\tmoved to heap":   1,
+		"escape\ta.go\tf\tx escapes to heap": 2,
+		"bce\tb.go\tg\tFound IsInBounds":     1,
 	}
 	if err := Write(path, []string{"header one", "header two"}, counts); err != nil {
 		t.Fatal(err)
@@ -21,40 +179,18 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(counts) {
-		t.Fatalf("round trip lost keys: %v != %v", got, counts)
-	}
-	for k, n := range counts {
-		if got[k] != n {
-			t.Errorf("key %q: got %d, want %d", k, got[k], n)
-		}
+	if !reflect.DeepEqual(got, counts) {
+		t.Fatalf("round trip: %v != %v", got, counts)
 	}
 }
 
 func TestReadMalformed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.baseline")
-	if err := writeFile(path, "notanumber\tkey\n"); err != nil {
+	if err := os.WriteFile(path, []byte("notanumber\tkey\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(path); err == nil {
 		t.Fatal("malformed baseline accepted")
-	}
-}
-
-func TestCount(t *testing.T) {
-	diags := []Diag{
-		{File: "a.go", Msg: "x escapes to heap"},
-		{File: "a.go", Msg: "x escapes to heap"},
-		{File: "b.go", Msg: "inlining call to f"},
-	}
-	counts := Count(diags, func(d Diag) (string, bool) {
-		if strings.HasSuffix(d.Msg, "escapes to heap") {
-			return d.File + "\t" + d.Msg, true
-		}
-		return "", false
-	})
-	if counts["a.go\tx escapes to heap"] != 2 || len(counts) != 1 {
-		t.Fatalf("unexpected counts: %v", counts)
 	}
 }
 
@@ -88,6 +224,21 @@ func TestDiffCleanPasses(t *testing.T) {
 	}
 }
 
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
+func lineOf(t *testing.T, src, text string) int {
+	t.Helper()
+	for i, line := range strings.Split(src, "\n") {
+		if strings.Contains(line, text) {
+			return i + 1
+		}
+	}
+	t.Fatalf("%q not in fixture", text)
+	return 0
+}
+
+func dump(counts map[string]int) string {
+	var b strings.Builder
+	for _, k := range sortedKeys(counts) {
+		fmt.Fprintf(&b, "  %d %s\n", counts[k], k)
+	}
+	return b.String()
 }

@@ -1,7 +1,7 @@
 // Package idxmask implements the ppmlint analyzer proving hot-loop slice
 // indices in-bounds by construction, so the compiler's bounds-check
-// elimination can fire and cmd/bcegate's baseline stays empty on the
-// predictor's Predict/Update/Lookup/Observe paths.
+// elimination can fire and cmd/codegate's bounds-check budget does not grow
+// on the predictor's Predict/Update/Lookup/Observe paths.
 //
 // For every slice or array index expression inside a hot function (see
 // internal/lint/hotset), the index must provably derive from one of:
@@ -262,7 +262,7 @@ func (s *state) safeIndex(e ast.Expr, bounded map[types.Object]bool, depth int) 
 	e = lint.Unparen(info, e)
 
 	// Non-negative constants index fixed-size state; the compiler proves the
-	// rest at build time (and bcegate catches what it cannot).
+	// rest at build time (and codegate catches what it cannot).
 	if tv, ok := info.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.Int {
 		v, exact := constant.Int64Val(tv.Value)
 		return exact && v >= 0
