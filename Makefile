@@ -57,13 +57,16 @@ gates-update:
 	$(GO) run ./cmd/codegate -update
 
 # The experiment grid's correctness gate: every registry entry renders the
-# golden record-engine bytes at every -j, each trace is generated once, the
-# block engine stays allocation-free in steady state, the scheduler and the
-# trace cache (concurrent block conversions included) pass the race
+# golden record-engine bytes at every -j, each trace is generated once,
+# straight into blocks that equal converting its records, and allocates
+# little more than the blocks it keeps; the block engine stays
+# allocation-free in steady state, the scheduler and the blocks-only trace
+# cache (concurrent generation and eviction included) pass the race
 # detector, and a short full-grid run at -j 4 completes under -race.
 grid-smoke:
 	$(GO) test -run 'TestParallelDeterminism|TestBlockEngineMatchesRecordEngine' ./cmd/experiments
-	$(GO) test -run 'TestBlockEngineZeroAllocSteadyState' ./internal/bench
+	$(GO) test -run 'TestBlocksMatchRecordsConversion' ./internal/workload
+	$(GO) test -run 'TestBlockEngineZeroAllocSteadyState|TestGenerateBlocksAllocBudget' ./internal/bench
 	$(GO) test -race ./internal/tracecache ./internal/sched
 	$(GO) run -race ./cmd/experiments -all -events 2000 -j 4 -cachestats > /dev/null
 

@@ -16,10 +16,13 @@ import (
 func printProfile(e *env) {
 	pops := make([]analysis.Population, len(e.suite))
 	e.pool.Map(len(e.suite), func(i int) {
-		recs, _ := e.cache.Get(e.suite[i])
+		blks, _ := e.cache.GetBlocks(e.suite[i])
 		p := analysis.NewProfiler()
-		for _, r := range recs {
-			p.Observe(r)
+		for bi := range blks {
+			b := &blks[bi]
+			for k := 0; k < b.Len(); k++ {
+				p.Observe(b.Record(k))
+			}
 		}
 		pops[i] = p.Classify()
 	})
@@ -42,25 +45,29 @@ func printCond(e *env) {
 	type accT struct{ miss, total uint64 }
 	accs := make([][3]accT, len(e.suite))
 	e.pool.Map(len(e.suite), func(i int) {
-		recs, _ := e.cache.Get(e.suite[i])
+		blks, _ := e.cache.GetBlocks(e.suite[i])
 		bi := condbr.NewBimodal(2048)
 		ga := condbr.NewGAg(12)
 		pp := condbr.NewPPM(8)
 		var acc [3]accT
-		for _, r := range recs {
-			if r.Class != trace.CondDirect {
-				continue
-			}
-			preds := [3]bool{bi.Predict(r.PC), ga.Predict(), pp.Predict()}
-			for j, p := range preds {
-				acc[j].total++
-				if p != r.Taken {
-					acc[j].miss++
+		for n := range blks {
+			b := &blks[n]
+			for k := 0; k < b.Len(); k++ {
+				r := b.Record(k)
+				if r.Class != trace.CondDirect {
+					continue
 				}
+				preds := [3]bool{bi.Predict(r.PC), ga.Predict(), pp.Predict()}
+				for j, p := range preds {
+					acc[j].total++
+					if p != r.Taken {
+						acc[j].miss++
+					}
+				}
+				bi.Update(r.PC, r.Taken)
+				ga.Update(r.Taken)
+				pp.Update(r.Taken)
 			}
-			bi.Update(r.PC, r.Taken)
-			ga.Update(r.Taken)
-			pp.Update(r.Taken)
 		}
 		accs[i] = acc
 	})

@@ -166,7 +166,7 @@ func printTable1(e *env) {
 	// reads the captured summaries in suite order.
 	sums := make([]workload.Summary, len(e.suite))
 	e.pool.Map(len(e.suite), func(i int) {
-		_, sums[i] = e.cache.Get(e.suite[i])
+		_, sums[i] = e.cache.GetBlocks(e.suite[i])
 	})
 	t := report.NewTable("Table 1: dynamic benchmark characteristics",
 		"benchmark", "input", "instr (M)", "MT jsr+jmp", "static MT", "cond", "returns")

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,27 +24,45 @@ import (
 	"repro/internal/trace"
 )
 
+// errUsage reports a command line that names nothing to simulate or fails
+// to parse; the flag set has already printed the usage.
+var errUsage = errors.New("usage")
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		os.Exit(2)
+	}
+}
+
+// run parses args and writes the report for one benchmark run or trace
+// file to out. A bad command line returns errUsage; a failure once the
+// simulation has started exits through fatal.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("ppmsim", flag.ContinueOnError)
 	var (
-		benchName  = flag.String("bench", "", "benchmark run name (see -list)")
-		traceFile  = flag.String("trace", "", "IBT2 trace file to simulate instead of a benchmark")
-		events     = flag.Int("events", bench.DefaultEvents, "dispatch events when generating a benchmark")
-		predNames  = flag.String("predictors", "", "comma-separated predictor names (default: the Figure 6 set)")
-		components = flag.Bool("components", false, "print the PPM Markov component distribution")
-		list       = flag.Bool("list", false, "list benchmarks and predictors")
+		benchName  = fs.String("bench", "", "benchmark run name (see -list)")
+		traceFile  = fs.String("trace", "", "IBT2 trace file to simulate instead of a benchmark")
+		events     = fs.Int("events", bench.DefaultEvents, "dispatch events when generating a benchmark")
+		predNames  = fs.String("predictors", "", "comma-separated predictor names (default: the Figure 6 set)")
+		components = fs.Bool("components", false, "print the PPM Markov component distribution")
+		list       = fs.Bool("list", false, "list benchmarks and predictors")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
 
 	if *list {
-		fmt.Println("benchmark runs:")
+		fmt.Fprintln(out, "benchmark runs:")
 		for _, cfg := range bench.Suite() {
-			fmt.Printf("  %s\n", cfg.String())
+			fmt.Fprintf(out, "  %s\n", cfg.String())
 		}
-		fmt.Println("predictors:")
+		fmt.Fprintln(out, "predictors:")
 		for _, n := range bench.PredictorNames() {
-			fmt.Printf("  %s\n", n)
+			fmt.Fprintf(out, "  %s\n", n)
 		}
-		return
+		return nil
 	}
 
 	preds := buildPredictors(*predNames)
@@ -71,22 +91,23 @@ func main() {
 		}
 		cfg.Events = *events
 		source = cfg.String()
-		cfg.Generate(eng.Process)
+		blks, _ := cfg.Blocks()
+		eng.ProcessBlocks(blks)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
 
-	fmt.Printf("source: %s (%d branch records, %.2fM instructions)\n\n",
+	fmt.Fprintf(out, "source: %s (%d branch records, %.2fM instructions)\n\n",
 		source, eng.Records(), float64(eng.Instructions())/1e6)
 	t := report.NewTable("", "predictor", "mispred %", "wrong", "no-pred", "MT branches")
 	for _, c := range eng.Counters() {
 		t.AddRowf(c.Predictor, 100*c.MispredictionRatio(), c.Wrong, c.NoPrediction, c.Lookups)
 	}
-	t.Render(os.Stdout)
+	t.Render(out)
 
 	if hits, total := eng.RAS().Accuracy(); total > 0 {
-		fmt.Printf("\nRAS returns: %d/%d correct (%.2f%%)\n", hits, total, 100*float64(hits)/float64(total))
+		fmt.Fprintf(out, "\nRAS returns: %d/%d correct (%.2f%%)\n", hits, total, 100*float64(hits)/float64(total))
 	}
 
 	if *components {
@@ -103,19 +124,20 @@ func main() {
 			if total == 0 {
 				continue
 			}
-			fmt.Printf("\n%s component access distribution:\n", ppm.Name())
+			fmt.Fprintf(out, "\n%s component access distribution:\n", ppm.Name())
 			for order := ppm.Order(); order >= 0; order-- {
 				if st.Accesses[order] == 0 {
 					continue
 				}
-				fmt.Printf("  order %2d: %6.2f%% accesses, %d misses\n",
+				fmt.Fprintf(out, "  order %2d: %6.2f%% accesses, %d misses\n",
 					order, 100*float64(st.Accesses[order])/float64(total), st.Misses[order])
 			}
 			if none := st.Accesses[ppm.Order()+1]; none > 0 {
-				fmt.Printf("  none    : %6.2f%%\n", 100*float64(none)/float64(total))
+				fmt.Fprintf(out, "  none    : %6.2f%%\n", 100*float64(none)/float64(total))
 			}
 		}
 	}
+	return nil
 }
 
 func buildPredictors(spec string) []predictor.IndirectPredictor {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cbt"
@@ -158,4 +159,30 @@ func TestOracleExemptFromZeroAlloc(t *testing.T) {
 	// No assertion on a positive count — just prove the exemption is
 	// load-bearing by exercising the same protocol without failing.
 	replay(o, recs)
+}
+
+// TestGenerateBlocksAllocBudget guards trace generation's memory shape:
+// Config.Blocks builds each suite run straight into blocks, so what it
+// allocates stays close to the columnar footprint it returns. Generating
+// into a []Record first and converting (40-byte records, a worst-case
+// preallocation and a trim copy on top of the blocks) costs 3.3-4.0x that
+// footprint; the budget of 1.5x fails if generation ever materializes the
+// record slice again.
+func TestGenerateBlocksAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts asserted in the non-race run")
+	}
+	const budget = 1.5
+	for _, cfg := range Sized(20000) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		blks, _ := cfg.Blocks()
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		resident := trace.BlocksBytes(blks)
+		if ratio := float64(alloc) / float64(resident); ratio > budget {
+			t.Errorf("%s: generation allocated %d bytes for %d bytes of blocks (%.2fx, budget %.1fx)",
+				cfg, alloc, resident, ratio, budget)
+		}
+	}
 }

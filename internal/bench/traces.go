@@ -13,8 +13,8 @@ import (
 var sharedTraces = tracecache.New(1 << 30)
 
 // Traces materializes cfg's record stream and summary through the module's
-// shared trace cache. The returned slice is shared across callers and must
-// be treated as immutable; harnesses that mutate records must copy first.
+// shared trace cache: the run is generated once per process and kept as
+// blocks, and each call flattens them into a fresh slice the caller owns.
 func Traces(cfg workload.Config) ([]trace.Record, workload.Summary) {
 	return sharedTraces.Get(cfg)
 }

@@ -117,7 +117,7 @@ func DivergesBlocks(family string, recs []trace.Record) bool {
 // must return exactly the counters and summaries of the record engine —
 // sim.Run over cfg.Records() — at every worker width in [1, maxWorkers],
 // through an unlimited trace cache and through one whose budget holds a
-// single trace in both forms, so cells also take the evict-and-regenerate
+// single trace, so cells also take the evict-and-regenerate
 // path. Caching, sharding and the block engine may change wall-clock time
 // only.
 func BlocksVsRecords(suite []workload.Config, build func() []predictor.IndirectPredictor, maxWorkers int) error {

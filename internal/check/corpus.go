@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
-	"unsafe"
 
 	"repro/internal/hashing"
 	"repro/internal/trace"
@@ -255,12 +255,12 @@ func ReplaySeed(e SeedEntry) error {
 	case "tracecache-oversize":
 		smallCfg := corpusWorkload(uint64(e.Seed.param("smallseed", 1)), int(e.Seed.param("smallevents", 100)))
 		bigCfg := corpusWorkload(uint64(e.Seed.param("bigseed", 2)), int(e.Seed.param("bigevents", 4000)))
-		smallRecs, _ := tracecache.New(0).Get(smallCfg)
-		c := tracecache.New(e.Seed.param("budgetsmalls", 3) * entryBytes(smallRecs))
-		c.Get(smallCfg)
+		smallBlks, _ := tracecache.New(0).GetBlocks(smallCfg)
+		c := tracecache.New(e.Seed.param("budgetsmalls", 3) * entryBytes(smallBlks))
+		c.GetBlocks(smallCfg)
 		want, wantSum := bigCfg.Records()
 		got, gotSum := c.Get(bigCfg)
-		if len(got) != len(want) || gotSum.Records != wantSum.Records {
+		if !slices.Equal(got, want) || gotSum.Records != wantSum.Records {
 			return fmt.Errorf("seed %s: oversized trace served %d records, want %d", e.Seed.Name, len(got), len(want))
 		}
 		st := c.Stats()
@@ -271,7 +271,7 @@ func ReplaySeed(e SeedEntry) error {
 			return fmt.Errorf("seed %s: oversized trace evicted %d resident entries", e.Seed.Name, st.Evicted)
 		}
 		hitsBefore := st.Hits
-		c.Get(smallCfg)
+		c.GetBlocks(smallCfg)
 		if c.Stats().Hits != hitsBefore+1 {
 			return fmt.Errorf("seed %s: resident small entry was flushed by the oversized trace", e.Seed.Name)
 		}
@@ -280,10 +280,8 @@ func ReplaySeed(e SeedEntry) error {
 	return fmt.Errorf("seed %s: unknown kind %q", e.Seed.Name, e.Seed.Kind)
 }
 
-// entryBytes mirrors the tracecache budget accounting for a record slice.
-func entryBytes(recs []trace.Record) int64 {
-	return int64(cap(recs)) * int64(unsafe.Sizeof(trace.Record{}))
-}
+// entryBytes mirrors the tracecache budget accounting for a cached trace.
+func entryBytes(blks []trace.Block) int64 { return trace.BlocksBytes(blks) }
 
 // corpusWorkload is the fixed workload shape used by tracecache corpus
 // seeds; only seed and event count vary per corpus entry.

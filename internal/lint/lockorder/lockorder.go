@@ -9,7 +9,7 @@
 //   - locks held across blocking operations: a channel send/receive/select,
 //     a net/os I/O call, a sync.WaitGroup.Wait, a sim.Engine.Process chain,
 //     or one of the repository's known cross-package blockers
-//     (tracecache.Get's singleflight wait, sched's Map join,
+//     (tracecache.GetBlocks' singleflight wait, sched's Map join,
 //     serve.Server.Shutdown's drain). Whatever the blocked operation waits
 //     on, every contender for the held lock now waits on it too — the
 //     serve/sched/tracecache layering forbids it.
@@ -49,7 +49,7 @@ var Analyzer = &lint.Analyzer{
 	Doc: "build the package's mutex-acquisition graph; report ordering " +
 		"cycles (potential deadlocks) and locks held across blocking " +
 		"operations — channel ops, net/os I/O, WaitGroup.Wait, " +
-		"sim.Engine.Process, tracecache.Get, sched Map " +
+		"sim.Engine.Process, tracecache.Get/GetBlocks, sched Map " +
 		"(//lint:lockheld escapes a justified blocking op)",
 	Escape: "//lint:lockheld <reason>",
 	Run:    run,
@@ -369,7 +369,7 @@ var blockingOSNames = map[string]bool{
 // singleflight trace materialization, the scheduler's joins, and the
 // serving drain.
 var knownBlockers = map[string]map[string]string{
-	"repro/internal/tracecache": {"Get": "trace generation (singleflight wait)"},
+	"repro/internal/tracecache": {"Get": "trace generation (singleflight wait)", "GetBlocks": "trace generation (singleflight wait)"},
 	"repro/internal/sched":      {"Map": "worker-pool join"},
 	"repro/internal/serve":      {"Shutdown": "shutdown drain"},
 	"repro/internal/sim":        {"Process": "simulation", "ProcessAll": "simulation", "ProcessReader": "simulation"},

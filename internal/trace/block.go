@@ -15,7 +15,7 @@ import (
 // paths that only act on indirect branches walk the index lanes and skip
 // the conditional-branch fabric that dominates the stream.
 //
-// Blocks are built once (from a []Record or straight off a Reader) and then
+// Blocks are built once (by a BlockBuilder or straight off a Reader) and then
 // shared: every field, including the lanes, MUST be treated as immutable by
 // consumers. The derived lanes (MTIdx, PIBIdx, GapSum) are maintained by
 // the builders; mutating a data lane without rebuilding them desynchronizes
@@ -160,6 +160,61 @@ func newBlock(n int) Block {
 	}
 }
 
+// BlockBuilder is the one way a trace is built into blocks: Append adds a
+// record to the last block, opening a new block of the builder's capacity
+// when that one is full, and Blocks hands back the result with the final
+// block's slack trimmed. A generator can feed Append directly, so a trace
+// reaches its columnar form without a []Record in between.
+type BlockBuilder struct {
+	blockCap int
+	blks     []Block
+}
+
+// NewBlockBuilder returns a builder that fills blocks of blockCap records.
+// Panics if blockCap < 1.
+func NewBlockBuilder(blockCap int) *BlockBuilder {
+	if blockCap < 1 {
+		panic("trace: block capacity must be >= 1")
+	}
+	return &BlockBuilder{blockCap: blockCap}
+}
+
+// Append adds r to the trace under construction.
+func (bb *BlockBuilder) Append(r Record) {
+	n := len(bb.blks)
+	if n == 0 || bb.blks[n-1].Len() == bb.blockCap {
+		bb.blks = append(bb.blks, newBlock(bb.blockCap))
+		n++
+	}
+	bb.blks[n-1].append(r)
+}
+
+// Blocks returns the blocks built so far, sized to what was appended so a
+// cache charging BlocksBytes pays for emitted records only: the block
+// slice is cut to its length, and a final block more than an eighth empty
+// has its record lanes copied down to their length. The builder is left
+// empty, ready for another trace.
+func (bb *BlockBuilder) Blocks() []Block {
+	blks := bb.blks
+	if cap(blks) > len(blks) {
+		blks = append(make([]Block, 0, len(blks)), blks...)
+	}
+	if n := len(blks); n > 0 {
+		last := &blks[n-1]
+		if k := last.Len(); cap(last.Meta)-k > k/8 {
+			last.PC = append(make([]uint64, 0, k), last.PC...)
+			last.Target = append(make([]uint64, 0, k), last.Target...)
+			last.Meta = append(make([]uint8, 0, k), last.Meta...)
+			last.Gap = append(make([]uint32, 0, k), last.Gap...)
+			if last.Value != nil {
+				last.Value = append(make([]uint32, 0, k), last.Value...)
+			}
+		}
+	}
+	bb.blks = nil
+	return blks
+}
+
 // Blocks converts a record slice to its columnar form in BlockCap-sized
 // blocks (the last block holds the remainder). The records are copied; the
 // input slice is not retained.
@@ -168,22 +223,11 @@ func Blocks(recs []Record) []Block { return BlocksSized(recs, BlockCap) }
 // BlocksSized is Blocks with an explicit records-per-block capacity.
 // Panics if blockCap < 1.
 func BlocksSized(recs []Record, blockCap int) []Block {
-	if blockCap < 1 {
-		panic("trace: block capacity must be >= 1")
+	bb := NewBlockBuilder(blockCap)
+	for _, r := range recs {
+		bb.Append(r)
 	}
-	blks := make([]Block, 0, (len(recs)+blockCap-1)/blockCap)
-	for off := 0; off < len(recs); off += blockCap {
-		end := off + blockCap
-		if end > len(recs) {
-			end = len(recs)
-		}
-		b := newBlock(end - off)
-		for _, r := range recs[off:end] {
-			b.append(r)
-		}
-		blks = append(blks, b)
-	}
-	return blks
+	return bb.Blocks()
 }
 
 // BlocksRecords flattens blocks back to a record slice — the inverse of

@@ -3,30 +3,31 @@
 // 14-run suite, and before this cache existed every analysis regenerated
 // every trace from scratch; the cache keys each workload.Config by a
 // fingerprint (name, input, seed, events and the scalar shape fields) and
-// hands all callers the same immutable []trace.Record and Summary.
+// hands all callers the same immutable []trace.Block and Summary.
+//
+// Blocks are the only form a cached trace takes: each entry is generated
+// straight into blocks (workload.Config.Blocks) and charged its columnar
+// footprint (trace.BlocksBytes). Get is a record view for block-unaware
+// callers: it flattens the cached blocks on every call, and nothing
+// record-shaped stays resident.
 //
 // Entries are held under a configurable memory budget with LRU eviction.
-// An evicted entry is not an error: the next Get simply regenerates it —
+// An evicted entry is not an error: the next call simply regenerates it —
 // generation is deterministic, so cache behaviour can never change results,
 // only wall-clock time.
 //
 // The cache is safe for concurrent use. Concurrent misses on the same key
 // generate the trace once; latecomers block until it is ready. Returned
-// slices are shared across callers and MUST be treated as immutable.
+// blocks are shared across callers and MUST be treated as immutable.
 package tracecache
 
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// recordBytes is the in-memory footprint of one trace.Record, used for
-// budget accounting.
-const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 
 // Stats counts cache traffic since construction. Generated counts actual
 // trace syntheses (one per miss), and the experiment harness asserts it
@@ -37,41 +38,28 @@ type Stats struct {
 	Generated uint64
 	Evicted   uint64
 	// Oversize counts traces larger than the whole budget: they are served
-	// to their waiters but never become resident (see Get).
+	// to their waiters but never become resident (see GetBlocks).
 	Oversize uint64
-	// Bytes is the total resident footprint: record storage plus, for
-	// entries whose columnar form has been materialized by GetBlocks, the
-	// block storage under the columnar size model (trace.BlocksBytes).
-	Bytes int64
-	// BlockBytes is the columnar portion of Bytes: what the resident
-	// pre-decoded blocks cost on top of the record slices.
-	BlockBytes int64
-	Entries    int
+	// Bytes is the total resident footprint under the columnar size model
+	// (trace.BlocksBytes).
+	Bytes   int64
+	Entries int
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d generated=%d evicted=%d oversize=%d entries=%d bytes=%d blockbytes=%d",
-		s.Hits, s.Misses, s.Generated, s.Evicted, s.Oversize, s.Entries, s.Bytes, s.BlockBytes)
+	return fmt.Sprintf("hits=%d misses=%d generated=%d evicted=%d oversize=%d entries=%d bytes=%d",
+		s.Hits, s.Misses, s.Generated, s.Evicted, s.Oversize, s.Entries, s.Bytes)
 }
 
-// entry is one cached trace. recs and sum are written exactly once, before
-// ready is closed; waiters must receive on ready before reading them.
+// entry is one cached trace. blocks, sum and bytes are written exactly
+// once, before ready is closed; waiters must receive on ready before
+// reading them.
 type entry struct {
-	key   string
-	recs  []trace.Record
-	sum   workload.Summary
-	bytes int64 // accounted footprint: records, plus blocks once attached
-	ready chan struct{}
-
-	// blocks is the pre-decoded columnar form, converted lazily by the
-	// first GetBlocks on the entry. blocksReady is nil until a caller
-	// claims the conversion; it is closed with blocks already set, so
-	// waiters receive and then read blocks. blockBytes is the columnar
-	// portion of bytes, tracked separately so eviction can settle the
-	// Stats.BlockBytes ledger.
-	blocks      []trace.Block
-	blocksReady chan struct{}
-	blockBytes  int64
+	key    string
+	blocks []trace.Block
+	sum    workload.Summary
+	bytes  int64 // accounted footprint: trace.BlocksBytes(blocks)
+	ready  chan struct{}
 
 	// LRU list links; nil/nil when unlinked (evicted or generating).
 	prev, next *entry
@@ -88,7 +76,7 @@ type Cache struct {
 	stats      Stats
 }
 
-// New returns a cache bounded to budgetBytes of record storage; a budget of
+// New returns a cache bounded to budgetBytes of block storage; a budget of
 // 0 (or negative) is unlimited.
 func New(budgetBytes int64) *Cache {
 	if budgetBytes < 0 {
@@ -110,21 +98,29 @@ func Fingerprint(cfg workload.Config) string {
 		cfg.GapMean, cfg.HistoryDepth, cfg.Sites)
 }
 
-// Get returns cfg's records and summary, generating them on first use (or
-// after eviction) and otherwise returning the shared cached copy. The
-// returned slice is shared: callers must not modify it.
-func (c *Cache) Get(cfg workload.Config) ([]trace.Record, workload.Summary) {
+// GetBlocks returns cfg's trace in columnar form, plus its summary,
+// generating it on first use (or after eviction) and otherwise returning
+// the shared cached copy. The returned blocks are shared: callers must not
+// modify them.
+func (c *Cache) GetBlocks(cfg workload.Config) ([]trace.Block, workload.Summary) {
 	e := c.getEntry(Fingerprint(cfg), cfg)
 	<-e.ready
-	return e.recs, e.sum
+	return e.blocks, e.sum
 }
 
-// getEntry returns the live entry for key, generating the records on a
+// Get returns cfg's trace as records, plus its summary. It is an uncached
+// view over GetBlocks: every call flattens the shared blocks into a fresh
+// slice the caller owns, so prefer GetBlocks wherever blocks will do.
+func (c *Cache) Get(cfg workload.Config) ([]trace.Record, workload.Summary) {
+	blks, sum := c.GetBlocks(cfg)
+	return trace.BlocksRecords(blks), sum
+}
+
+// getEntry returns the live entry for key, generating its blocks on a
 // miss. The caller must receive on the returned entry's ready channel
-// before reading recs/sum. Accounting settles before ready closes, so once
-// a waiter is released the entry is either resident (mapped, linked,
-// counted in Stats.Bytes) or already forgotten (oversize) — an invariant
-// GetBlocks relies on when it attaches block storage to the entry later.
+// before reading blocks/sum. Accounting settles before ready closes, so
+// once a waiter is released the entry is either resident (mapped, linked,
+// counted in Stats.Bytes) or already forgotten (oversize or evicted).
 func (c *Cache) getEntry(key string, cfg workload.Config) *entry {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -142,8 +138,8 @@ func (c *Cache) getEntry(key string, cfg workload.Config) *entry {
 	c.stats.Generated++
 	c.mu.Unlock()
 
-	e.recs, e.sum = generate(cfg)
-	e.bytes = int64(cap(e.recs)) * recordBytes
+	e.blocks, e.sum = cfg.Blocks()
+	e.bytes = trace.BlocksBytes(e.blocks)
 
 	c.mu.Lock()
 	// A budget pass triggered by another insert may have dropped the entry
@@ -170,77 +166,6 @@ func (c *Cache) getEntry(key string, cfg workload.Config) *entry {
 	return e
 }
 
-// GetBlocks returns cfg's trace in pre-decoded columnar form, plus its
-// summary. The blocks are converted from the cached records on first use
-// and then shared: re-simulation through the block engine never re-decodes
-// a trace the cache already holds. Like Get's record slices, the returned
-// blocks are shared across callers and MUST be treated as immutable.
-//
-// Block storage joins the owning entry's budget accounting under the
-// columnar size model (trace.BlocksBytes), so a trace cached in both forms
-// is charged for both; if the combined footprint exceeds the whole budget
-// the entry is served to its waiters and forgotten, as Get does for
-// oversize record sets.
-func (c *Cache) GetBlocks(cfg workload.Config) ([]trace.Block, workload.Summary) {
-	key := Fingerprint(cfg)
-	e := c.getEntry(key, cfg)
-	<-e.ready
-
-	c.mu.Lock()
-	if ready := e.blocksReady; ready != nil {
-		// Another caller owns (or finished) the conversion.
-		c.mu.Unlock()
-		<-ready
-		return e.blocks, e.sum
-	}
-	ready := make(chan struct{})
-	e.blocksReady = ready
-	c.mu.Unlock()
-
-	blks := trace.Blocks(e.recs)
-	bb := trace.BlocksBytes(blks)
-	e.blocks = blks
-	close(ready)
-
-	c.mu.Lock()
-	// Only an entry still mapped (i.e. still resident — getEntry settles
-	// accounting before ready closes) carries the block storage into the
-	// ledger; an entry evicted while converting just serves its waiters.
-	// blockBytes is set here, under the lock, because a concurrent
-	// evictOver reads it: it must say what this entry added to
-	// Stats.BlockBytes, which is nothing until now.
-	if c.entries[key] == e {
-		if c.budget > 0 && e.bytes+bb > c.budget {
-			c.unlink(e)
-			delete(c.entries, key)
-			c.stats.Bytes -= e.bytes
-			c.stats.Oversize++
-		} else {
-			e.bytes += bb
-			e.blockBytes = bb
-			c.stats.Bytes += bb
-			c.stats.BlockBytes += bb
-			c.evictOver()
-		}
-	}
-	c.mu.Unlock()
-	return blks, e.sum
-}
-
-// generate materializes the config into memory. The slack trim matters:
-// Records preallocates a worst-case capacity (its no-reallocation
-// guarantee), and caching that slack would make the budget accounting pay
-// for records that were never emitted.
-func generate(cfg workload.Config) ([]trace.Record, workload.Summary) {
-	recs, sum := cfg.Records()
-	if cap(recs)-len(recs) > len(recs)/8 {
-		trimmed := make([]trace.Record, len(recs))
-		copy(trimmed, recs)
-		recs = trimmed
-	}
-	return recs, sum
-}
-
 // evictOver drops least-recently-used ready entries until the budget is
 // met. Entries still generating are not on the list and cannot be chosen.
 // Callers hold c.mu.
@@ -253,7 +178,6 @@ func (c *Cache) evictOver() {
 		c.unlink(e)
 		delete(c.entries, e.key)
 		c.stats.Bytes -= e.bytes
-		c.stats.BlockBytes -= e.blockBytes
 		c.stats.Evicted++
 	}
 }

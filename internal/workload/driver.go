@@ -486,10 +486,20 @@ func (c Config) ExpectedRecords() int {
 }
 
 // Records generates the run into memory, preallocated to ExpectedRecords so
-// the append loop never reallocates. Convenient for tests and the
-// experiment harness; very long runs should stream via Generate.
+// the append loop never reallocates. It is the reference form the record
+// engine replays in tests and checks; the experiment harness caches Blocks
+// instead, and very long runs should stream via Generate.
 func (c Config) Records() ([]trace.Record, Summary) {
 	recs := make([]trace.Record, 0, c.ExpectedRecords())
 	sum := c.Generate(func(r trace.Record) { recs = append(recs, r) })
 	return recs, sum
+}
+
+// Blocks generates the run straight into its columnar form: records go
+// from Generate into a trace.BlockBuilder, so no []trace.Record is ever
+// materialized. The result equals trace.Blocks over Records' output.
+func (c Config) Blocks() ([]trace.Block, Summary) {
+	bb := trace.NewBlockBuilder(trace.BlockCap)
+	sum := c.Generate(bb.Append)
+	return bb.Blocks(), sum
 }
