@@ -110,10 +110,14 @@ check-ittage:
 	$(GO) run ./cmd/ppmcheck -families ITTAGE,Cascade-u -seeds 40 -events 2500
 
 # Short fuzz slices keep the parsers honest without turning CI into a
-# fuzzing farm: the IBT2 trace reader, and the snapshot codec (round-trip
-# identity plus typed-error rejection of corrupted/truncated state).
+# fuzzing farm: the IBT2 trace reader (differential against a byte-at-a-time
+# reference decoder), the snapshot codec (round-trip identity plus
+# typed-error rejection of corrupted/truncated state), and a live session's
+# predict endpoint (response shape, record accounting, session still usable,
+# no goroutine leaks).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzStateRoundTrip -fuzztime=$(FUZZTIME) ./internal/state
+	$(GO) test -run='^$$' -fuzz=FuzzSessionPredict -fuzztime=$(FUZZTIME) ./internal/serve
 
 ci: build lint gates race grid-smoke serve-smoke session-smoke check-quick check-ittage fuzz-smoke

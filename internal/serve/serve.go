@@ -664,9 +664,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	j.setRunning()
 	s.met.uploads.Add(1)
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	tr, err := trace.NewReader(body)
-	if err != nil {
+	tr := traceReaders.Get().(*trace.Reader)
+	defer releaseReader(tr)
+	if err := tr.Reset(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)); err != nil {
 		s.met.badUpload.Add(1)
 		j.cancel(err)
 		httpError(w, http.StatusBadRequest, "not an IBT2 trace: "+err.Error())
@@ -729,6 +729,19 @@ func streamTrace(e *sim.Engine, tr *trace.Reader, r *http.Request) error {
 // uploadBlocks recycles the decode block across uploads, so a served upload
 // allocates no lane storage once the pool is warm.
 var uploadBlocks = sync.Pool{New: func() any { return new(trace.Block) }}
+
+// traceReaders recycles IBT2 decoders, and with them their 64 KiB byte
+// windows, across uploads and live predict requests.
+var traceReaders = sync.Pool{New: func() any { return new(trace.Reader) }}
+
+// releaseReader returns a reader to traceReaders. Resetting it onto an
+// empty body first drops its reference to the finished request's body, so
+// the pool pins no request; the header error that Reset reports for the
+// empty body is expected.
+func releaseReader(tr *trace.Reader) {
+	_ = tr.Reset(http.NoBody)
+	traceReaders.Put(tr)
+}
 
 // --- plumbing --------------------------------------------------------------
 

@@ -311,6 +311,10 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 // "done" event carrying the cumulative status. State mutates as records
 // decode, so a truncated upload keeps the prefix's training — exactly what
 // an online learner does with a dropped connection.
+//
+// The body decodes through a pooled trace.Reader, and pred lines are
+// appended into a pooled buffer that reaches the ResponseWriter every
+// predFlushBytes, so a warm request's work is its simulation.
 func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookupSession(r.PathValue("id"))
 	if !ok {
@@ -324,9 +328,9 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 	sizeBytes := int64(-1) // recompute on the error paths
 	defer func() { s.releaseSession(sess, sizeBytes) }()
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	tr, err := trace.NewReader(body)
-	if err != nil {
+	tr := traceReaders.Get().(*trace.Reader)
+	defer releaseReader(tr)
+	if err := tr.Reset(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)); err != nil {
 		s.met.badUpload.Add(1)
 		httpError(w, http.StatusBadRequest, "not an IBT2 trace: "+err.Error())
 		return
@@ -340,10 +344,17 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Session-ID", sess.id)
-	enc := json.NewEncoder(w)
+	lines := predLines.Get().(*[]byte)
+	out := (*lines)[:0]
+	defer func() {
+		*lines = out[:0]
+		predLines.Put(lines)
+	}()
+	// Every decoded record has trained the session, whichever way the
+	// request ends.
+	defer func() { s.met.predictRecs.Add(tr.Count()) }()
 	t0 := now()
 	const checkEvery = 4096
-	var streamed uint64
 	for n := 0; ; n++ {
 		if n%checkEvery == 0 && r.Context().Err() != nil {
 			return // client gone; the prefix has already trained the session
@@ -355,11 +366,12 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// Headers are long gone; surface the failure as a typed line.
 			s.met.badUpload.Add(1)
-			_ = enc.Encode(PredictEvent{Type: "error", Error: err.Error()})
+			if _, werr := w.Write(out); werr == nil {
+				writeJSON(w, PredictEvent{Type: "error", Error: err.Error()})
+			}
 			return
 		}
 		p, dispatched := sess.eng.ProcessPredicted(rec)
-		streamed++
 		if !dispatched {
 			continue
 		}
@@ -371,16 +383,64 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 		if p.Predicted {
 			ev.Target = p.Target
 		}
-		if err := enc.Encode(ev); err != nil {
-			return // client went away
+		out = appendPredLine(out, &ev)
+		if len(out) >= predFlushBytes {
+			if _, err := w.Write(out); err != nil {
+				return // client went away
+			}
+			out = out[:0]
 		}
 	}
-	s.met.predictRecs.Add(streamed)
+	if _, err := w.Write(out); err != nil {
+		return // client went away
+	}
 	s.met.predictLatency.observe(now().Sub(t0))
 
 	sizeBytes = sessionOverheadBytes + int64(state.SizeOf(sess.eng))
 	st := sess.liveStatus(sizeBytes)
-	_ = enc.Encode(PredictEvent{Type: "done", Session: &st})
+	writeJSON(w, PredictEvent{Type: "done", Session: &st})
+}
+
+// predFlushBytes is how many bytes of pred lines a predict request holds
+// before writing them to the ResponseWriter, so predictions keep flowing
+// while a long body is still uploading.
+const predFlushBytes = 4 << 10
+
+// predLines recycles the pred-line buffer across predict requests. A
+// buffer never grows past predFlushBytes plus one line.
+var predLines = sync.Pool{New: func() any {
+	b := make([]byte, 0, predFlushBytes+256)
+	return &b
+}}
+
+// appendPredLine appends ev's NDJSON line to b, byte-identical to what
+// json.Encoder writes for it: type, the non-zero seq, pc, target and
+// actual, then predicted and correct. It covers exactly the fields a pred
+// line carries (Session and Error stay unset on pred lines), and ev.Type
+// must need no JSON escaping. A field added to PredictEvent must be added
+// here too; TestAppendPredLineCoversEveryField fails until it is.
+func appendPredLine(b []byte, ev *PredictEvent) []byte {
+	b = append(b, `{"type":"`...)
+	b = append(b, ev.Type...)
+	b = append(b, '"')
+	b = appendNonZero(b, `,"seq":`, ev.Seq)
+	b = appendNonZero(b, `,"pc":`, ev.PC)
+	b = appendNonZero(b, `,"target":`, ev.Target)
+	b = appendNonZero(b, `,"actual":`, ev.Actual)
+	b = append(b, `,"predicted":`...)
+	b = strconv.AppendBool(b, ev.Predicted)
+	b = append(b, `,"correct":`...)
+	b = strconv.AppendBool(b, ev.Correct)
+	return append(b, "}\n"...)
+}
+
+// appendNonZero appends an omitempty uint64 member: key and value, or
+// nothing when v is zero.
+func appendNonZero(b []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendUint(append(b, key...), v, 10)
 }
 
 // handleStateGet serializes the session's live state — engine accounting,

@@ -82,6 +82,12 @@ func tryCreateSession(t *testing.T, base, predictor string) (SessionStatus, *htt
 // predictStream uploads records to a session and collects the NDJSON reply.
 func predictStream(t *testing.T, base, id string, recs []trace.Record) (preds []PredictEvent, done PredictEvent) {
 	t.Helper()
+	return parsePredict(t, predictRaw(t, base, id, recs))
+}
+
+// predictRaw uploads records to a session and returns the raw NDJSON reply.
+func predictRaw(t *testing.T, base, id string, recs []trace.Record) []byte {
+	t.Helper()
 	resp, err := http.Post(base+"/v1/sessions/"+id+"/predict",
 		"application/x-ibt2", bytes.NewReader(encodeIBT2(t, recs)))
 	if err != nil {
@@ -94,7 +100,18 @@ func predictStream(t *testing.T, base, id string, recs []trace.Record) (preds []
 	if got := resp.Header.Get("Content-Type"); got != "application/x-ndjson" {
 		t.Fatalf("predict Content-Type = %q", got)
 	}
-	dec := json.NewDecoder(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// parsePredict splits a predict reply into its pred events and the
+// terminal done event, failing t on anything else.
+func parsePredict(t *testing.T, raw []byte) (preds []PredictEvent, done PredictEvent) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	for {
 		var ev PredictEvent
 		if err := dec.Decode(&ev); err == io.EOF {
@@ -236,11 +253,14 @@ func TestSessionPredictMatchesLocal(t *testing.T) {
 	recs := benchRecords(t, "troff.ped", 600)
 
 	st := createSession(t, ts.URL, "PPM-hyb")
-	preds, done := predictStream(t, ts.URL, st.ID, recs)
+	raw := predictRaw(t, ts.URL, st.ID, recs)
+	preds, done := parsePredict(t, raw)
 
 	p, _ := bench.NewPredictor("PPM-hyb")
 	eng := sim.New(p)
 	var want []PredictEvent
+	var wantLines bytes.Buffer
+	enc := json.NewEncoder(&wantLines)
 	for _, r := range recs {
 		pr, dispatched := eng.ProcessPredicted(r)
 		if !dispatched {
@@ -255,6 +275,9 @@ func TestSessionPredictMatchesLocal(t *testing.T) {
 			ev.Target = pr.Target
 		}
 		want = append(want, ev)
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(preds) != len(want) {
 		t.Fatalf("streamed %d pred events, local engine dispatched %d", len(preds), len(want))
@@ -263,6 +286,11 @@ func TestSessionPredictMatchesLocal(t *testing.T) {
 		if preds[i] != want[i] {
 			t.Fatalf("pred %d: got %+v, want %+v", i, preds[i], want[i])
 		}
+	}
+	// The pred lines are appended by hand; on the wire they must be the
+	// bytes json.Encoder writes for the same events.
+	if got := raw[:bytes.LastIndex(raw, []byte(`{"type":"done"`))]; !bytes.Equal(got, wantLines.Bytes()) {
+		t.Fatalf("pred lines (%d bytes) differ from json.Encoder's (%d bytes)", len(got), wantLines.Len())
 	}
 
 	c := eng.Counters()[0]

@@ -113,9 +113,33 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Reader decodes Records from an IBT2 stream.
+// windowSize is the Reader's byte window: one refill (a single Read on
+// the source) carries hundreds of records, so its cost amortizes to noise.
+const windowSize = 1 << 16
+
+// maxRecordBytes is the longest well-formed record: a flags byte and four
+// maximal varints. Read refills the window whenever fewer bytes than this
+// remain, so a record of a healthy stream decodes in one pass.
+const maxRecordBytes = 1 + 4*binary.MaxVarintLen64
+
+// maxEmptyReads bounds consecutive Reads that return neither data nor an
+// error before the Reader gives up with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
+// Reader decodes Records from an IBT2 stream. It reads the source into a
+// 64 KiB byte window and decodes each record straight out of the window,
+// refilling and compacting it when fewer than one maximal record's bytes
+// remain. A source error is held until the bytes read before it are
+// decoded, then surfaced: io.EOF at a record boundary, ErrTruncated inside
+// a record, any other error unwrapped. Errors are sticky until Reset.
+//
+// The zero Reader is ready for Reset, which is how a pool of Readers
+// reuses one window across many streams.
 type Reader struct {
-	r      *bufio.Reader
+	src    io.Reader
+	buf    []byte // the window; the unread bytes are buf[r:w]
+	r, w   int
+	err    error // source error, surfaced once buf[r:w] cannot complete a record
 	prevPC uint64
 	count  uint64
 	hint   int
@@ -123,124 +147,187 @@ type Reader struct {
 
 // NewReader validates the header and returns a Reader positioned at the
 // first record.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+func NewReader(src io.Reader) (*Reader, error) {
+	r := new(Reader)
+	if err := r.Reset(src); err != nil {
+		return nil, err
 	}
-	if string(hdr) != magic {
-		return nil, ErrBadMagic
-	}
-	return &Reader{r: br}, nil
+	return r, nil
 }
 
-// Reset repoints the Reader at a new stream, reusing the internal buffered
-// reader and its 64 KiB buffer instead of reallocating them. The header is
-// revalidated and the delta-decode state rewound, so a Reset reader behaves
-// exactly like one from NewReader. Callers that drain many traces in a loop
-// (the block cache's decode path, benchmarks) Reset one Reader rather than
-// paying a buffer allocation per trace.
+// Reset repoints the Reader at a new stream, reusing its byte window
+// instead of reallocating it. The header is revalidated and the decode
+// state, record count, size hint and any held error rewound, so a Reset
+// reader behaves exactly like one from NewReader, whatever state its last
+// stream left it in. Callers that drain many traces in a loop (servers,
+// benchmarks) Reset one Reader rather than paying a window per trace.
 func (r *Reader) Reset(src io.Reader) error {
-	r.r.Reset(src)
+	if r.buf == nil {
+		r.buf = make([]byte, windowSize)
+	}
+	r.src, r.r, r.w, r.err = src, 0, 0, nil
 	r.prevPC, r.count, r.hint = 0, 0, 0
-	hdr, err := r.r.Peek(len(magic))
-	if err != nil {
+	for r.w < len(magic) && r.err == nil {
+		r.fill()
+	}
+	if r.w < len(magic) {
+		err := r.err
+		if err == io.EOF && r.w > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return fmt.Errorf("trace: reading header: %w", err)
 	}
-	if string(hdr) != magic {
+	if string(r.buf[:len(magic)]) != magic {
 		return ErrBadMagic
 	}
-	r.r.Discard(len(magic))
+	r.r = len(magic)
 	return nil
 }
 
-// uvarint decodes one unsigned varint from the buffered stream. Equivalent
-// to binary.ReadUvarint(r.r) but calls the concrete *bufio.Reader directly:
-// the stdlib helper takes an io.ByteReader, which costs an interface
-// dispatch per byte on the hottest loop in the decode path.
+// fill slides the unread bytes to the front of the window and reads once
+// from the source into the free space. A source error is held in r.err,
+// and fill does nothing once one is held.
+func (r *Reader) fill() {
+	if r.err != nil {
+		return
+	}
+	if r.r > 0 {
+		r.w = copy(r.buf, r.buf[r.r:r.w])
+		r.r = 0
+	}
+	for range maxEmptyReads {
+		n, err := r.src.Read(r.buf[r.w:])
+		r.w += n
+		if err != nil {
+			r.err = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+	}
+	r.err = io.ErrNoProgress
+}
+
+// uvarint decodes one unsigned varint from the front of b and returns it
+// with the bytes it took; n == 0 means b ends inside the varint and n < 0
+// means the varint overflows 64 bits: its tenth byte exceeds 1, or it has
+// an eleventh byte. A stream cut right after ten continuation bytes is
+// therefore truncated, not corrupt.
 //
 //ppm:hotpath per-field varint decode under Read
-func (r *Reader) uvarint() (uint64, error) {
-	var v uint64
-	var shift uint
-	for {
-		b, err := r.r.ReadByte()
-		if err != nil {
-			return 0, err
+func uvarint(b []byte) (v uint64, n int) {
+	for i, c := range b {
+		if i == binary.MaxVarintLen64 || i == binary.MaxVarintLen64-1 && c > 1 && c < 0x80 {
+			return 0, -1
 		}
-		if b < 0x80 {
-			if shift >= 64 || (shift == 63 && b > 1) {
-				return 0, errVarintOverflow //lint:coldpath — corrupt stream
-			}
-			return v | uint64(b)<<shift, nil
+		if c < 0x80 {
+			return v | uint64(c)<<(7*i), i + 1
 		}
-		if shift >= 64 {
-			return 0, errVarintOverflow //lint:coldpath — corrupt stream
-		}
-		v |= uint64(b&0x7f) << shift
-		shift += 7
+		v |= uint64(c&0x7f) << (7 * i)
 	}
+	return 0, 0
 }
 
 // errVarintOverflow mirrors the stdlib's binary.ReadUvarint overflow error.
 var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
+// decodeRecord decodes the record at the front of b into rec, given the
+// PC of its predecessor, and returns the bytes it took: 0 when b ends
+// inside the record. A corrupt record returns an error.
+func decodeRecord(rec *Record, b []byte, prevPC uint64) (n int, err error) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	flags := b[0]
+	pcd, k := uvarint(b[1:])
+	if k <= 0 {
+		return 0, varintErr(k)
+	}
+	n = 1 + k
+	tgtd, k := uvarint(b[n:])
+	if k <= 0 {
+		return 0, varintErr(k)
+	}
+	n += k
+	gap, k := uvarint(b[n:])
+	if k <= 0 {
+		return 0, varintErr(k)
+	}
+	n += k
+	var val uint64
+	if flags&flagValue != 0 {
+		val, k = uvarint(b[n:])
+		if k <= 0 {
+			return 0, varintErr(k)
+		}
+		n += k
+	}
+	if !Class(flags & flagClassMask).Valid() {
+		return 0, fmt.Errorf("trace: corrupt record: invalid class %d", flags&flagClassMask)
+	}
+	rec.PC = prevPC + uint64(unzigzag(pcd))
+	rec.Target = rec.PC + uint64(unzigzag(tgtd))
+	rec.Class = Class(flags & flagClassMask)
+	rec.Taken = flags&flagTaken != 0
+	rec.MT = flags&flagMT != 0
+	rec.Gap = uint32(gap)
+	rec.Value = uint32(val)
+	return n, nil
+}
+
+// varintErr maps a failed uvarint's length to decodeRecord's error: nil
+// for a varint the window cuts off, errVarintOverflow for an overflow.
+func varintErr(k int) error {
+	if k < 0 {
+		return errVarintOverflow
+	}
+	return nil
+}
+
 // Read returns the next record, or io.EOF at end of trace.
 func (r *Reader) Read() (Record, error) {
-	flags, err := r.r.ReadByte()
-	if err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
+	if r.w-r.r < maxRecordBytes {
+		r.fill()
+	}
+	var rec Record
+	for {
+		n, err := decodeRecord(&rec, r.buf[r.r:r.w], r.prevPC)
+		if n > 0 {
+			r.r += n
+			r.prevPC = rec.PC
+			r.count++
+			return rec, nil
 		}
-		return Record{}, err
-	}
-	pcd, err := r.uvarint()
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	tgtd, err := r.uvarint()
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	gap, err := r.uvarint()
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	rec := Record{
-		Class: Class(flags & flagClassMask),
-		Taken: flags&flagTaken != 0,
-		MT:    flags&flagMT != 0,
-		Gap:   uint32(gap),
-	}
-	if flags&flagValue != 0 {
-		v, err := r.uvarint()
 		if err != nil {
-			return Record{}, truncated(err)
+			return Record{}, err
 		}
-		rec.Value = uint32(v)
+		if r.err != nil {
+			return Record{}, r.endErr()
+		}
+		// The window ends inside the record: the source made a short
+		// read, or an overflow hinges on a varint's eleventh byte. Read
+		// on until the record completes or the source fails.
+		r.fill()
 	}
-	rec.PC = r.prevPC + uint64(unzigzag(pcd))
-	rec.Target = rec.PC + uint64(unzigzag(tgtd))
-	if !rec.Class.Valid() {
-		return Record{}, fmt.Errorf("trace: corrupt record: invalid class %d", flags&flagClassMask)
+}
+
+// endErr classifies the held source error once the window cannot complete
+// a record: an exhausted stream is io.EOF at a record boundary and
+// ErrTruncated inside a record; any other error passes through untouched.
+func (r *Reader) endErr() error {
+	switch {
+	case r.err != io.EOF && r.err != io.ErrUnexpectedEOF:
+		return r.err
+	case r.r == r.w:
+		return io.EOF
+	default:
+		return ErrTruncated
 	}
-	r.prevPC = rec.PC
-	r.count++
-	return rec, nil
 }
 
 // Count returns the number of records read so far.
 func (r *Reader) Count() uint64 { return r.count }
-
-// truncated maps an end-of-stream error hit mid-record to ErrTruncated;
-// genuine I/O errors pass through untouched.
-func truncated(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return ErrTruncated
-	}
-	return err
-}
 
 // SetSizeHint tells the reader how many records remain in the stream, when
 // the caller knows (a Writer.Count from the producing side, a record count

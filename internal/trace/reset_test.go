@@ -8,7 +8,7 @@ import (
 )
 
 // encodeRecords returns the IBT2 bytes of recs.
-func encodeRecords(t *testing.T, recs []Record) []byte {
+func encodeRecords(t testing.TB, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)

@@ -7,6 +7,16 @@
 // Record carries the number of non-branch instructions retired since the
 // previous record (Gap), which is sufficient to reconstruct instruction
 // counts for Table 1 of the paper.
+//
+// Traces are stored and streamed in the IBT2 binary format (io.go): a magic
+// header, then one delta/varint-encoded record after another. Writer
+// encodes through a 64 KiB bufio buffer. Reader decodes out of a 64 KiB
+// byte window that it refills and compacts when fewer than one maximal
+// record's bytes remain, so the per-record work is varint decoding from a
+// slice, not a read call per byte. A Reader is reusable: Reset points it at
+// the next stream, and the zero Reader is ready for Reset, which is how a
+// server pools Readers across requests. In memory, a generated trace lives
+// as columnar Blocks (block.go).
 package trace
 
 import "fmt"
