@@ -137,7 +137,8 @@ func (f *FilteredPPM) Observe(r trace.Record) { f.ppm.Observe(r) }
 // ProcessBlock implements the engine's batch fast path: the filter's
 // Predict/Update protocol per MT indirect record with the wrapped PPM's
 // Observe fan-out devirtualized exactly as PPM.ProcessBlock does it (the
-// filter itself keeps no path history, so only the wrapped stack observes).
+// filter itself keeps no path history, so only the wrapped stack observes),
+// one BIU probe per indirect record included.
 //
 //ppm:hotpath whole-block filtered-PPM replay
 func (f *FilteredPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
@@ -150,15 +151,16 @@ func (f *FilteredPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		tgt := tgts[i]
 		cls := trace.Class(m & trace.MetaClassMask)
 		pib := cls == trace.IndirectJmp || cls == trace.IndirectJsr
-		mt := m&trace.MetaMT != 0
-		if pib && mt {
+		if pib && m&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := f.Predict(pc)
 			c.Record(ok && target == tgt, ok)
 			f.Update(pc, tgt)
-		}
-		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
-			p.biu.ObserveIndirect(pcs[i], mt)
+			if hyb {
+				p.pending.sel.MT = true
+			}
+		} else if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
+			p.biu.ObserveIndirect(pcs[i], m&trace.MetaMT != 0)
 		}
 		p.pb.Push(tgt)
 		if pib {

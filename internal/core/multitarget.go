@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/hashing"
 	"repro/internal/predictor"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -181,15 +180,13 @@ func (m *MultiPPM) Entries() int {
 // state has any recorded arc answers with its majority target.
 func (m *MultiPPM) Predict(pc uint64) (uint64, bool) {
 	cfg := m.inner.Config()
-	recent := m.inner.pib.Recent(m.inner.scratch[:0], cfg.Order)
-
 	pd := &m.pending
 	pd.chosen = -1
 	pd.ok = false
 	pd.target = 0
 	// Same incremental all-orders pass as PPM.Predict: each order's SFSXS
-	// hash nests inside the next, so one sweep replaces per-order refolds.
-	hashing.SFSXSAll(pd.indices, recent, cfg.TargetBits, cfg.FoldBits, uint(cfg.Order), cfg.LowSelect)
+	// hash nests inside the next, so one sweep over the PIB ring serves all.
+	m.inner.pib.SFSXSAll(pd.indices, cfg.TargetBits, cfg.FoldBits, cfg.LowSelect)
 	for j := cfg.Order; j >= 1; j-- {
 		idx := pd.indices[j] //lint:idxsafe j descends from Order and len(indices) == Order+1 by construction
 		//lint:idxsafe j in [1, Order] and len(tables) == Order by construction
@@ -222,13 +219,12 @@ func (m *MultiPPM) Observe(r trace.Record) { m.inner.Observe(r) }
 
 // ProcessBlock implements the engine's batch fast path: the multi-target
 // Predict/Update protocol per MT indirect record with the inner PPM's
-// Observe fan-out devirtualized, mirroring PPM.ProcessBlock (the inner
-// predictor is PIB-only, so the hoisted mode check skips the BIU leg).
+// Observe fan-out devirtualized, mirroring PPM.ProcessBlock. The inner
+// predictor is PIB-only, so no record touches the BIU.
 //
 //ppm:hotpath whole-block multi-target PPM replay
 func (m *MultiPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 	p := m.inner
-	hyb := p.cfg.Mode != PIBOnly
 	metas := b.Meta
 	pcs := b.PC[:len(metas)]
 	tgts := b.Target[:len(metas)]
@@ -236,15 +232,11 @@ func (m *MultiPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		tgt := tgts[i]
 		cls := trace.Class(mb & trace.MetaClassMask)
 		pib := cls == trace.IndirectJmp || cls == trace.IndirectJsr
-		mt := mb&trace.MetaMT != 0
-		if pib && mt {
+		if pib && mb&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := m.Predict(pc)
 			c.Record(ok && target == tgt, ok)
 			m.Update(pc, tgt)
-		}
-		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
-			p.biu.ObserveIndirect(pcs[i], mt)
 		}
 		p.pb.Push(tgt)
 		if pib {

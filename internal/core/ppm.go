@@ -123,7 +123,6 @@ type PPM struct {
 	pib    *history.PHR
 	biu    *predictor.BIU
 
-	scratch []uint64
 	pending struct {
 		pc      uint64
 		indices []uint64
@@ -131,7 +130,10 @@ type PPM struct {
 		chosen  int // order that supplied the prediction; -1 = none
 		target  uint64
 		ok      bool
-		sel     *predictor.BIUEntry
+		// sel is the BIU entry Predict chose the history with; it points
+		// into the BIU's table, so it is used only until the record's
+		// Observe and cleared whenever the table is rebuilt.
+		sel *predictor.BIUEntry
 	}
 
 	stats ComponentStats
@@ -152,13 +154,12 @@ func New(cfg Config) *PPM {
 		mode = counter.PIBBiased
 	}
 	p := &PPM{
-		cfg:     cfg,
-		tables:  tables,
-		pb:      history.New(history.AllBranches, cfg.Order, cfg.TargetBits, 0),
-		pib:     history.New(history.IndirectBranches, cfg.Order, cfg.TargetBits, 0),
-		biu:     predictor.NewBIU(mode, cfg.BIULimit),
-		scratch: make([]uint64, 0, cfg.Order),
-		stats:   newComponentStats(cfg.Order),
+		cfg:    cfg,
+		tables: tables,
+		pb:     history.New(history.AllBranches, cfg.Order, cfg.TargetBits, 0),
+		pib:    history.New(history.IndirectBranches, cfg.Order, cfg.TargetBits, 0),
+		biu:    predictor.NewBIU(mode, cfg.BIULimit),
+		stats:  newComponentStats(cfg.Order),
 	}
 	p.pending.indices = make([]uint64, cfg.Order+1)
 	return p
@@ -219,7 +220,6 @@ func (p *PPM) selectHistory(pc uint64) (*history.PHR, *predictor.BIUEntry) {
 // entry of the highest order supplies the target (Figure 3's buffer chain).
 func (p *PPM) Predict(pc uint64) (uint64, bool) {
 	phr, sel := p.selectHistory(pc)
-	recent := phr.Recent(p.scratch[:0], p.cfg.Order)
 	tag := uint32(hashing.Mix64(pc>>2) >> 48)
 
 	pd := &p.pending
@@ -230,10 +230,9 @@ func (p *PPM) Predict(pc uint64) (uint64, bool) {
 	pd.ok = false
 	pd.target = 0
 
-	// One incremental pass derives every order's SFSXS index (each order's
-	// hash nests inside the next), replacing the per-order refolds that
-	// dominated the simulation profile.
-	hashing.SFSXSAll(pd.indices, recent, p.cfg.TargetBits, p.cfg.FoldBits, uint(p.cfg.Order), p.cfg.LowSelect)
+	// One incremental pass over the register's ring derives every order's
+	// SFSXS index (each order's hash nests inside the next).
+	phr.SFSXSAll(pd.indices, p.cfg.TargetBits, p.cfg.FoldBits, p.cfg.LowSelect)
 
 	for j := p.cfg.Order; j >= 1; j-- {
 		idx := pd.indices[j] //lint:idxsafe j descends from Order and len(indices) == Order+1 by construction
@@ -333,8 +332,11 @@ func (p *PPM) Observe(r trace.Record) {
 // check is folded into the meta-byte dispatch, and the history registers
 // are pushed directly instead of re-deciding their streams per record (the
 // PB register accepts every branch; the PIB register exactly the indirect
-// jmp/jsr records). BIU touches stay interleaved in record order, so a
-// bounded BIU's FIFO eviction sequence is identical to the record loop's.
+// jmp/jsr records). Each indirect record probes the BIU once: an MT record
+// sets the MT bit on the entry Predict selected its history with, the
+// entry the record's Observe would find. BIU touches stay in record order,
+// so a bounded BIU's FIFO eviction sequence is identical to the record
+// loop's.
 //
 //ppm:hotpath whole-block PPM replay
 func (p *PPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
@@ -346,15 +348,16 @@ func (p *PPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		tgt := tgts[i]
 		cls := trace.Class(m & trace.MetaClassMask)
 		pib := cls == trace.IndirectJmp || cls == trace.IndirectJsr
-		mt := m&trace.MetaMT != 0
-		if pib && mt {
+		if pib && m&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := p.Predict(pc)
 			c.Record(ok && target == tgt, ok)
 			p.Update(pc, tgt)
-		}
-		if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
-			p.biu.ObserveIndirect(pcs[i], mt)
+			if hyb {
+				p.pending.sel.MT = true
+			}
+		} else if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
+			p.biu.ObserveIndirect(pcs[i], m&trace.MetaMT != 0)
 		}
 		p.pb.Push(tgt)
 		if pib {
@@ -378,6 +381,7 @@ func (p *PPM) Reset() {
 	p.pb.Reset()
 	p.pib.Reset()
 	p.biu.Reset()
+	p.pending.sel = nil
 	p.stats = newComponentStats(p.cfg.Order)
 }
 

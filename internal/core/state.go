@@ -153,6 +153,7 @@ func (p *PPM) Restore(r *state.Reader) error {
 	if err := p.pib.LoadState(r); err != nil {
 		return err
 	}
+	p.pending.sel = nil // the BIU table is rebuilt below
 	return p.biu.LoadState(r)
 }
 

@@ -15,36 +15,33 @@ import "math/bits"
 
 // Mask returns a mask of the n low-order bits. n must be <= 64.
 //
+// Branch-free: the shift count is reduced mod 64 so the compiler emits no
+// guard, and n>>6 is 1 exactly at n == 64, whose all-ones mask the OR
+// supplies.
+//
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
 func Mask(n uint) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << n) - 1
+	return ^(^uint64(0) << (n & 63)) | -uint64(n>>6)
 }
 
-// Select extracts the n low-order bits of v.
+// Select extracts the n low-order bits of v. n must be <= 64.
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
 func Select(v uint64, n uint) uint64 { return v & Mask(n) }
 
 // Fold XOR-folds the in low-order bits of v into out bits by XORing
 // successive out-bit chunks together. If out >= in the value is returned
-// masked to in bits. out must be > 0.
+// masked to in bits; out == 0 yields 0. in must be <= 64.
+//
+// The loop runs ceil(in/out) rounds whatever the data, and every shift
+// count is reduced mod 64 (out == 64 never reaches a second round).
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
-func Fold(v uint64, in, out uint) uint64 {
-	v = Select(v, in)
-	if out == 0 {
-		return 0
-	}
-	if out >= in {
-		return v
-	}
-	var folded uint64
-	for v != 0 {
-		folded ^= v & Mask(out)
-		v >>= out
+func Fold(v uint64, in, out uint) (folded uint64) {
+	v &= Mask(in)
+	for m, sh := Mask(out), uint(0); sh < in; sh += max(out, 1) {
+		folded ^= v & m
+		v >>= out & 63
 	}
 	return folded
 }
@@ -112,43 +109,65 @@ func SFSXS(targets []uint64, selBits, foldBits, order uint) uint64 {
 }
 
 // SFSXSAll computes SFSXS (or SFSXSLow when low is set) for every order in
-// [1, maxOrder] in one incremental pass, writing the order-j index to
-// dst[j]; dst must be at least maxOrder+1 long and dst[0] is left as is.
+// [1, len(dst)-1] in one incremental pass, writing the order-j index to
+// dst[j]; dst[0] is left as is. The path is read in place from a path
+// history ring: the most recent target is ring[head], the next ring[head-1],
+// wrapping from ring[0] to ring[len(ring)-1], and only the n most recent
+// targets count (fewer than an order during warm-up). head must index ring.
 //
 // The per-order hashes nest: with g_i the folded contribution of the i-th
 // most recent target, the high-select hash for order o is
 // h_o = (h_{o-1} << 1) ^ g_{o-1}, and with foldBits >= 1 the final select
-// always shifts by the constant foldBits-1 — so one fold per available
-// target and one shift-XOR per order replace the O(order^2) refolds of
-// calling SFSXS per order. foldBits must be >= 1 (every PPM configuration
-// validates this); equivalence with per-order SFSXS/SFSXSLow calls is
-// pinned by TestSFSXSAllMatchesPerOrder and the ppmcheck differential.
+// always shifts by the constant foldBits-1 — so one fold per target and one
+// shift-XOR per order replace the O(order^2) refolds of calling SFSXS per
+// order. foldBits must be in [1, selBits] and selBits <= 32 (every PPM
+// configuration validates this).
+//
+// Cost model: nothing branches on target data. Each target takes
+// ceil(log2(ceil(selBits/foldBits))) fold rounds (one for the paper's 10/5),
+// targets past n are masked to zero rather than skipped, and every shift
+// count is reduced mod 64, so the compiler emits no shift guards. Two short
+// passes keep the loop state in registers. Equivalence with the bit-vector
+// references is pinned by the check package's sweep.
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
-func SFSXSAll(dst, targets []uint64, selBits, foldBits, maxOrder uint, low bool) {
-	n := uint(len(targets))
-	if n > maxOrder {
-		n = maxOrder
+func SFSXSAll(dst, ring []uint64, head, n int, selBits, foldBits uint, low bool) {
+	// First pass: dst[o] holds the fold of the o-th most recent target, or
+	// zero past the recorded path. XORing the value with itself shifted by
+	// foldBits, 2*foldBits, 4*foldBits, ... collects every foldBits-wide
+	// chunk in the low bits, so the paper's 10-into-5 fold is one round.
+	sel, fm := Mask(selBits), Mask(foldBits)
+	fs := max(foldBits, 1) // a zero width would never end the rounds
+	i := head
+	for o := 1; o < len(dst); o++ {
+		g := ring[i] >> 2 & sel //lint:idxsafe i starts at head and wraps within [0, len(ring))
+		for s := fs; s < selBits; s <<= 1 {
+			g ^= g >> (s & 63)
+		}
+		dst[o] = g & fm & uint64(int64(o-1-n)>>63) // all ones while o-1 < n
+		i--
+		if i < 0 {
+			i = len(ring) - 1
+		}
 	}
-	var h uint64
+	// Second pass: nest the per-order hashes in place.
+	var h, m uint64
 	if low {
 		// Low-select: fold i sits at bit positions [i, i+foldBits); entries
 		// at i >= o only occupy bits >= o, so masking the running hash to o
 		// bits is exactly the per-order cap on path length.
-		for i := uint(0); i < n; i++ {
-			h ^= Fold(targets[i]>>2, selBits, foldBits) << i //lint:idxsafe i < n <= len(targets)
-		}
-		for o := uint(1); o <= maxOrder; o++ {
-			dst[o] = h & Mask(o) //lint:idxsafe caller contract: len(dst) >= maxOrder+1 and o <= maxOrder
+		for o := 1; o < len(dst); o++ {
+			h ^= dst[o] << (uint(o-1) & 63)
+			m = m<<1 | 1
+			dst[o] = h & m
 		}
 		return
 	}
-	for o := uint(1); o <= maxOrder; o++ {
-		h <<= 1
-		if o-1 < n {
-			h ^= Fold(targets[o-1]>>2, selBits, foldBits) //lint:idxsafe o-1 < n <= len(targets)
-		}
-		dst[o] = (h >> (foldBits - 1)) & Mask(o) //lint:idxsafe caller contract: len(dst) >= maxOrder+1 and o <= maxOrder
+	top := (foldBits + 63) & 63 // foldBits-1, reduced mod 64
+	for o := 1; o < len(dst); o++ {
+		h = h<<1 ^ dst[o]
+		m = m<<1 | 1
+		dst[o] = h >> top & m
 	}
 }
 

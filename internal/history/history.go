@@ -68,14 +68,24 @@ type PHR struct {
 	stream Stream
 	ring   []uint64
 	head   int // index of most recent entry
-	filled int
+	// pushes counts every target shifted in since power-up; the register
+	// holds min(pushes, depth) of them (Len). Counting without a clamp keeps
+	// Push small enough to inline.
+	pushes int
 
 	// packed is the conventional shift register maintained incrementally:
 	// bitsPer low-order bits of each target, most recent in the low bits.
 	// Registers up to 64 bits occupy one word; wider registers (geometric
 	// ITTAGE histories) span little-endian words, word 0 least significant.
+	// Push leaves bits shifted past packedBits in the top word; every reader
+	// masks them with topMask (lowMask for word 0), so they are never seen.
+	// A register with no packed view keeps one word under zero masks, so
+	// Push shifts every register the same way.
 	packed     []uint64
 	topMask    uint64 // mask of the valid bits in the top packed word
+	lowMask    uint64 // mask of the valid bits in word 0
+	selMask    uint64 // Mask(bitsPer): the bits of each target shifted in
+	carry      uint   // 64-bitsPer: where a word's outgoing bits start
 	packedBits uint
 	bitsPer    uint
 }
@@ -101,10 +111,11 @@ func NewWide(stream Stream, depth int, bitsPer, packedBits uint) *PHR {
 	if depth < 1 {
 		panic("history: depth must be >= 1")
 	}
-	words := int((packedBits + 63) / 64)
-	top := ^uint64(0)
-	if packedBits%64 != 0 {
-		top = (uint64(1) << (packedBits % 64)) - 1
+	words := max(int((packedBits+63)/64), 1)
+	top := hashing.Mask(packedBits - 64*uint(words-1))
+	low := ^uint64(0)
+	if words == 1 {
+		low = top
 	}
 	return &PHR{
 		stream:     stream,
@@ -112,6 +123,9 @@ func NewWide(stream Stream, depth int, bitsPer, packedBits uint) *PHR {
 		head:       depth - 1,
 		packed:     make([]uint64, words),
 		topMask:    top,
+		lowMask:    low,
+		selMask:    hashing.Mask(min(bitsPer, 64)),
+		carry:      64 - min(bitsPer, 64),
 		bitsPer:    bitsPer,
 		packedBits: packedBits,
 	}
@@ -135,52 +149,34 @@ func (p *PHR) Observe(r trace.Record) bool {
 	return true
 }
 
-// Push unconditionally shifts a target into the register.
+// Push unconditionally shifts a target into the register. Every register
+// takes the same straight-line update, with no outlined packed-view path
+// and no bounds check, so Push inlines at its call sites.
 //
 //ppm:hotpath per-record history-register shift
 func (p *PHR) Push(target uint64) {
-	p.head++
-	if p.head == len(p.ring) {
-		p.head = 0
+	ring, h := p.ring, p.head+1
+	if h == len(ring) {
+		h = 0
 	}
-	p.ring[p.head] = target
-	if p.filled < len(p.ring) {
-		p.filled++
+	if uint(h) < uint(len(ring)) { // always true; lets the compiler drop the bounds check
+		ring[h] = target
 	}
-	if p.packedBits == 0 {
-		return
+	p.head = h
+	p.pushes++
+	// Multi-word left shift by bitsPer, low word first, each word's outgoing
+	// bits carried into the next. Go's shift semantics make bitsPer >= 64 a
+	// whole-word shift (x<<64 is 0, carry 0 passes the word on) exactly as a
+	// single-word register degenerates to the new target alone. Bits pushed
+	// past packedBits stay in the top word until a reader masks them off.
+	w, in := p.packed, target>>2&p.selMask
+	for i, x := range w {
+		w[i], in = x<<p.bitsPer|in, x>>p.carry
 	}
-	var sel uint64
-	if p.bitsPer >= 64 {
-		sel = target >> 2
-	} else {
-		sel = (target >> 2) & ((uint64(1) << p.bitsPer) - 1)
-	}
-	w := p.packed
-	if len(w) == 1 {
-		w[0] = ((w[0] << p.bitsPer) | sel) & p.topMask
-		return
-	}
-	// Multi-word left shift by bitsPer, high word first so carries read the
-	// pre-shift neighbours; bitsPer >= 64 degenerates to a whole-word shift
-	// exactly as a single-word register degenerates to sel alone.
-	if p.bitsPer >= 64 {
-		for i := len(w) - 1; i > 0; i-- {
-			w[i] = w[i-1] //lint:idxsafe i walks (0, len) so i and i-1 are in range
-		}
-		w[0] = sel
-	} else {
-		carry := 64 - p.bitsPer
-		for i := len(w) - 1; i > 0; i-- {
-			w[i] = (w[i] << p.bitsPer) | (w[i-1] >> carry) //lint:idxsafe i walks (0, len) so i and i-1 are in range
-		}
-		w[0] = (w[0] << p.bitsPer) | sel
-	}
-	w[len(w)-1] &= p.topMask
 }
 
 // Len reports how many targets have been recorded, up to the depth.
-func (p *PHR) Len() int { return p.filled }
+func (p *PHR) Len() int { return min(p.pushes, len(p.ring)) }
 
 // Recent fills dst's backing storage with the n most recent targets (most
 // recent first) and returns the resulting length-n slice. Fewer than n are
@@ -190,9 +186,7 @@ func (p *PHR) Len() int { return p.filled }
 //
 //ppm:hotpath per-record history-register shift
 func (p *PHR) Recent(dst []uint64, n int) []uint64 {
-	if n > p.filled {
-		n = p.filled
-	}
+	n = min(n, p.Len())
 	if cap(dst) < n {
 		dst = make([]uint64, n) //lint:coldpath — only for nil/undersized scratch
 	}
@@ -206,6 +200,15 @@ func (p *PHR) Recent(dst []uint64, n int) []uint64 {
 		}
 	}
 	return dst
+}
+
+// SFSXSAll writes the per-order SFSXS indices of hashing.SFSXSAll over the
+// register's recorded targets into dst (orders 1 to len(dst)-1), reading
+// the ring in place.
+//
+//ppm:hotpath per-lookup index-hash helper; runs once per table probe
+func (p *PHR) SFSXSAll(dst []uint64, selBits, foldBits uint, low bool) {
+	hashing.SFSXSAll(dst, p.ring, p.head, p.Len(), selBits, foldBits, low)
 }
 
 // Peek returns the i-th most recent target in the ring (0 = most recent),
@@ -235,9 +238,9 @@ func (p *PHR) Peek(i int) uint64 {
 //ppm:hotpath per-record history-register shift
 func (p *PHR) Packed() uint64 {
 	if len(p.packed) == 0 {
-		return 0
+		return 0 // dead guard: every register has a word; drops the bounds check
 	}
-	return p.packed[0]
+	return p.packed[0] & p.lowMask
 }
 
 // PackedBits returns the configured width of the packed register.
@@ -264,7 +267,7 @@ func (p *PHR) FoldPacked(in, out uint) uint64 {
 type State struct {
 	ring   []uint64
 	head   int
-	filled int
+	pushes int
 	packed []uint64
 }
 
@@ -273,7 +276,7 @@ func (p *PHR) Snapshot() State {
 	return State{
 		ring:   append([]uint64(nil), p.ring...),
 		head:   p.head,
-		filled: p.filled,
+		pushes: p.pushes,
 		packed: append([]uint64(nil), p.packed...),
 	}
 }
@@ -286,7 +289,7 @@ func (p *PHR) Restore(s State) {
 	}
 	copy(p.ring, s.ring)
 	p.head = s.head
-	p.filled = s.filled
+	p.pushes = s.pushes
 	copy(p.packed, s.packed)
 }
 
@@ -296,7 +299,7 @@ func (p *PHR) Reset() {
 		p.ring[i] = 0
 	}
 	p.head = len(p.ring) - 1
-	p.filled = 0
+	p.pushes = 0
 	for i := range p.packed {
 		p.packed[i] = 0
 	}

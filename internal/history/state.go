@@ -13,15 +13,16 @@ func (p *PHR) SaveState(w *state.Writer) {
 	w.U64(uint64(p.bitsPer))
 	w.U64(uint64(p.packedBits))
 	w.U64(uint64(p.head))
-	w.U64(uint64(p.filled))
+	w.U64(uint64(p.Len()))
 	// One word per 64 bits of packed register, low word first. Registers of
 	// 64 bits or fewer serialize exactly one word — the original encoding —
-	// and a zero-width register keeps its single placeholder word so the
-	// byte layout of every pre-multi-word snapshot is unchanged.
-	if len(p.packed) == 0 {
-		w.U64(0)
-	}
-	for _, t := range p.packed {
+	// and a zero-width register's single word is always zero, the
+	// placeholder every pre-multi-word snapshot carries.
+	top := len(p.packed) - 1
+	for i, t := range p.packed {
+		if i == top {
+			t &= p.topMask
+		}
 		w.U64(t)
 	}
 	for _, t := range p.ring {
@@ -49,10 +50,6 @@ func (p *PHR) LoadState(r *state.Reader) error {
 	}
 	head := r.U64()
 	filled := r.U64()
-	var packed0 uint64
-	if len(p.packed) == 0 {
-		packed0 = r.U64() // zero-width placeholder word
-	}
 	// Like the ring below, the packed words land in place before the final
 	// error check: a failed restore leaves the register unspecified, which
 	// every caller already handles by discarding the predictor.
@@ -65,10 +62,7 @@ func (p *PHR) LoadState(r *state.Reader) error {
 	if head >= depth || filled > depth {
 		return state.Corruptf("PHR head %d / filled %d out of range for depth %d", head, filled, depth)
 	}
-	if len(p.packed) == 0 && packed0 != 0 {
-		return state.Corruptf("PHR zero-width packed register holds %#x", packed0)
-	}
-	if n := len(p.packed); n > 0 && p.packed[n-1]&^p.topMask != 0 {
+	if n := len(p.packed); p.packed[n-1]&^p.topMask != 0 {
 		return state.Corruptf("PHR packed top word %#x exceeds %d-bit register", p.packed[n-1], p.packedBits)
 	}
 	for i := range p.ring {
@@ -78,6 +72,6 @@ func (p *PHR) LoadState(r *state.Reader) error {
 		return err
 	}
 	p.head = int(head)
-	p.filled = int(filled)
+	p.pushes = int(filled)
 	return nil
 }

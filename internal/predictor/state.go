@@ -7,7 +7,7 @@ import (
 
 // SaveState appends the BIU contents as a snapshot section. Entries are
 // written in insertion order — the semantic order of the FIFO eviction
-// queue — never map order, so repeated snapshots of the same state are
+// queue — never table order, so repeated snapshots of the same state are
 // byte-identical.
 func (b *BIU) SaveState(w *state.Writer) {
 	w.Begin(state.SecBIU)
@@ -16,7 +16,7 @@ func (b *BIU) SaveState(w *state.Writer) {
 	w.U64(b.evictions)
 	w.U64(uint64(len(b.order)))
 	for _, pc := range b.order {
-		e := b.entries[pc]
+		e := b.find(pc)
 		w.U64(pc)
 		w.Bool(e.MT)
 		w.U8(e.Sel.State())
@@ -24,10 +24,10 @@ func (b *BIU) SaveState(w *state.Writer) {
 	w.End()
 }
 
-// LoadState rebuilds the BIU in place from a SaveState section. Entries
-// already present for a snapshot pc are overwritten where they sit; stale
-// survivors of the previous state are deleted by generation mark, so a
-// steady-state restore into a same-population BIU does not allocate.
+// LoadState rebuilds the BIU in place from a SaveState section: the table
+// is cleared and refilled in snapshot order, growing only when the
+// snapshot's population needs more slots than it has, so a steady-state
+// restore into a same-population BIU does not allocate.
 func (b *BIU) LoadState(r *state.Reader) error {
 	if err := r.Begin(state.SecBIU); err != nil {
 		return err
@@ -42,11 +42,13 @@ func (b *BIU) LoadState(r *state.Reader) error {
 	}
 	evictions := r.U64()
 	n := r.U64()
+	if err := r.Err(); err != nil {
+		return err
+	}
 	if b.limit > 0 && n > uint64(b.limit) {
 		return state.Corruptf("BIU carries %d entries over limit %d", n, b.limit)
 	}
-	b.gen++
-	b.order = b.order[:0]
+	b.Reset()
 	for i := uint64(0); i < n; i++ {
 		pc := r.U64()
 		mt := r.Bool()
@@ -58,27 +60,18 @@ func (b *BIU) LoadState(r *state.Reader) error {
 		if !ok {
 			return state.Corruptf("BIU selection state %d out of range", raw)
 		}
-		e, exists := b.entries[pc]
-		if exists {
-			if e.gen == b.gen {
-				return state.Corruptf("BIU pc %#x duplicated in snapshot", pc)
-			}
-		} else {
-			e = &BIUEntry{} //lint:coldpath — only when the live population differs from the snapshot's
-			b.entries[pc] = e
+		if 2*(len(b.order)+1) > len(b.slots) {
+			b.resize(2 * len(b.slots)) //lint:coldpath — only when the snapshot outgrows the live table
 		}
-		e.MT = mt
-		e.Sel = sel
-		e.gen = b.gen
+		s := b.find(pc)
+		if s.used {
+			return state.Corruptf("BIU pc %#x duplicated in snapshot", pc)
+		}
+		*s = biuSlot{pc: pc, used: true, BIUEntry: BIUEntry{MT: mt, Sel: sel}}
 		b.order = append(b.order, pc)
 	}
 	if err := r.End(); err != nil {
 		return err
-	}
-	for pc, e := range b.entries {
-		if e.gen != b.gen {
-			delete(b.entries, pc)
-		}
 	}
 	b.evictions = evictions
 	return nil
