@@ -97,11 +97,24 @@ func TestRefMaskSelectFoldAgree(t *testing.T) {
 		if got, want := hashing.Select(v, in), refSelect(v, in); got != want {
 			t.Fatalf("Select(%#x,%d) = %#x, ref %#x", v, in, got, want)
 		}
-		if in == 0 {
-			continue // Fold requires in >= 1 by contract
-		}
 		if got, want := hashing.Fold(v, in, out), refFold(v, in, out); got != want {
 			t.Fatalf("Fold(%#x,%d,%d) = %#x, ref %#x", v, in, out, got, want)
+		}
+	}
+	// The widths where shift-count reduction and the n == 64 mask bit meet.
+	for _, v := range []uint64{0, ^uint64(0), 0x8000000000000001, rng.Uint64()} {
+		for _, in := range []uint{0, 1, 63, 64} {
+			if got, want := hashing.Mask(in), refMask(in); got != want {
+				t.Fatalf("Mask(%d) = %#x, ref %#x", in, got, want)
+			}
+			if got, want := hashing.Select(v, in), refSelect(v, in); got != want {
+				t.Fatalf("Select(%#x,%d) = %#x, ref %#x", v, in, got, want)
+			}
+			for _, out := range []uint{0, 1, 63, 64} {
+				if got, want := hashing.Fold(v, in, out), refFold(v, in, out); got != want {
+					t.Fatalf("Fold(%#x,%d,%d) = %#x, ref %#x", v, in, out, got, want)
+				}
+			}
 		}
 	}
 }
@@ -151,6 +164,55 @@ func TestRefSFSXSAgree(t *testing.T) {
 		}
 		if got, want := hashing.SFSXSLow(ts, selBits, foldBits, order), refSFSXSLow(ts, selBits, foldBits, order); got != want {
 			t.Fatalf("SFSXSLow(len=%d,sel=%d,fold=%d,order=%d) = %#x, ref %#x", n, selBits, foldBits, order, got, want)
+		}
+	}
+}
+
+// TestSFSXSAllSweep holds the all-orders pass, in both orientations, to the
+// bit-vector references over every PPM geometry the configuration allows
+// (selBits 1-32, foldBits 1-selBits, maxOrder 1-20) and every recorded
+// path length up to maxOrder. Targets carry bits above bit 33, which the
+// select must drop, and the ring is rotated and padded with junk past the
+// recorded path, which the pass must not read as path.
+func TestSFSXSAllSweep(t *testing.T) {
+	const maxOrder = 20
+	rng := workload.NewRNG(17)
+	ring := make([]uint64, maxOrder)
+	dst := make([]uint64, maxOrder+1)
+	want := make([][2]uint64, maxOrder+1)
+	for selBits := uint(1); selBits <= 32; selBits++ {
+		for foldBits := uint(1); foldBits <= selBits; foldBits++ {
+			path := make([]uint64, maxOrder)
+			for i := range path {
+				path[i] = rng.Uint64() | 1<<34 | 1<<63
+			}
+			for n := 0; n <= maxOrder; n++ {
+				for o := uint(1); o <= maxOrder; o++ {
+					want[o] = [2]uint64{
+						refSFSXS(path[:n], selBits, foldBits, o),
+						refSFSXSLow(path[:n], selBits, foldBits, o),
+					}
+				}
+				for order := max(n, 1); order <= maxOrder; order++ {
+					r := ring[:order]
+					head := rng.Intn(order)
+					for i := range r {
+						r[i] = rng.Uint64()
+					}
+					for i, tg := range path[:n] {
+						r[(head-i+order)%order] = tg
+					}
+					for side, low := range []bool{false, true} {
+						hashing.SFSXSAll(dst[:order+1], r, head, n, selBits, foldBits, low)
+						for o := 1; o <= order; o++ {
+							if dst[o] != want[o][side] {
+								t.Fatalf("SFSXSAll(sel=%d fold=%d maxOrder=%d len=%d low=%t)[%d] = %#x, ref %#x",
+									selBits, foldBits, order, n, low, o, dst[o], want[o][side])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

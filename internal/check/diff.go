@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bench"
+	"repro/internal/predictor"
 	"repro/internal/trace"
 )
 
@@ -43,6 +44,12 @@ func DiffFamily(family string, recs []trace.Record) (*Divergence, error) {
 	if !ok {
 		return nil, fmt.Errorf("check: no reference for family %q", family)
 	}
+	return diffPair(family, opt, ref, recs), nil
+}
+
+// diffPair replays recs through opt and ref in lock-step under the
+// simulator protocol and returns the first divergence, or nil.
+func diffPair(family string, opt, ref predictor.IndirectPredictor, recs []trace.Record) *Divergence {
 	for i, r := range recs {
 		if r.MTIndirect() {
 			optTgt, optOK := opt.Predict(r.PC)
@@ -56,7 +63,7 @@ func DiffFamily(family string, recs []trace.Record) (*Divergence, error) {
 					OptOK:     optOK,
 					RefTarget: refTgt,
 					RefOK:     refOK,
-				}, nil
+				}
 			}
 			opt.Update(r.PC, r.Target)
 			ref.Update(r.PC, r.Target)
@@ -64,7 +71,7 @@ func DiffFamily(family string, recs []trace.Record) (*Divergence, error) {
 		opt.Observe(r)
 		ref.Observe(r)
 	}
-	return nil, nil
+	return nil
 }
 
 // Diverges reports whether replaying recs produces a divergence for the

@@ -86,6 +86,10 @@ type RefPPM struct {
 	pb     *refHistory
 	pib    *refHistory
 	biu    map[uint64]*refBIUEntry
+	// biuFIFO lists live BIU PCs oldest first; with a BIULimit, inserting
+	// one more than the limit evicts the first.
+	biuFIFO   []uint64
+	evictions uint64
 
 	pending struct {
 		indices []uint64 // indices[j] for order j in 1..Order
@@ -134,6 +138,12 @@ func (p *RefPPM) ensureBIU(pc uint64) *refBIUEntry {
 	}
 	e := &refBIUEntry{sel: refStronglyPIB}
 	p.biu[pc] = e
+	p.biuFIFO = append(p.biuFIFO, pc)
+	if p.cfg.BIULimit > 0 && len(p.biuFIFO) > p.cfg.BIULimit {
+		delete(p.biu, p.biuFIFO[0])
+		p.biuFIFO = p.biuFIFO[1:]
+		p.evictions++
+	}
 	return e
 }
 

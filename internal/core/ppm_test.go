@@ -302,6 +302,31 @@ func TestBoundedBIUEviction(t *testing.T) {
 	}
 }
 
+// TestSelectionUpdateSurvivesBIUInsert pins that the BIU entry Predict
+// selects with is the one Update trains, even when Predict's first touch of
+// a branch grows the BIU's table or evicts from it (moving entries): the
+// pending entry is taken after the insert and held only until Update.
+func TestSelectionUpdateSurvivesBIUInsert(t *testing.T) {
+	for _, limit := range []int{0, 3} {
+		cfg := DefaultConfig(Hybrid)
+		cfg.BIULimit = limit
+		p := New(cfg)
+		for i := 0; i < 100; i++ {
+			pc := uint64(0x12000000 + i*0x40)
+			if p.BIU().Lookup(pc) != nil {
+				t.Fatalf("limit %d: pc %#x present before its first touch", limit, pc)
+			}
+			tgt, ok := p.Predict(pc)
+			p.Update(pc, tgt+4) // always a miss: Strongly PIB steps to Weakly PIB
+			e := p.BIU().Lookup(pc)
+			if e == nil || e.Sel.State() != counter.WeaklyPIB {
+				t.Fatalf("limit %d, branch %d (predicted %v): BIU entry %+v missed the selection update", limit, i, ok, e)
+			}
+			p.Observe(mtJmp(pc, tgt+4))
+		}
+	}
+}
+
 func TestReset(t *testing.T) {
 	p := PaperHyb()
 	for i := 0; i < 100; i++ {
