@@ -79,8 +79,7 @@ type PHR struct {
 	// ITTAGE histories) span little-endian words, word 0 least significant.
 	// Push leaves bits shifted past packedBits in the top word; every reader
 	// masks them with topMask (lowMask for word 0), so they are never seen.
-	// A register with no packed view keeps one word under zero masks, so
-	// Push shifts every register the same way.
+	// A register with no packed view has no words.
 	packed     []uint64
 	topMask    uint64 // mask of the valid bits in the top packed word
 	lowMask    uint64 // mask of the valid bits in word 0
@@ -111,8 +110,11 @@ func NewWide(stream Stream, depth int, bitsPer, packedBits uint) *PHR {
 	if depth < 1 {
 		panic("history: depth must be >= 1")
 	}
-	words := max(int((packedBits+63)/64), 1)
-	top := hashing.Mask(packedBits - 64*uint(words-1))
+	words := int((packedBits + 63) / 64)
+	top := ^uint64(0)
+	if packedBits%64 != 0 {
+		top = (uint64(1) << (packedBits % 64)) - 1
+	}
 	low := ^uint64(0)
 	if words == 1 {
 		low = top
@@ -238,7 +240,7 @@ func (p *PHR) Peek(i int) uint64 {
 //ppm:hotpath per-record history-register shift
 func (p *PHR) Packed() uint64 {
 	if len(p.packed) == 0 {
-		return 0 // dead guard: every register has a word; drops the bounds check
+		return 0
 	}
 	return p.packed[0] & p.lowMask
 }

@@ -16,8 +16,11 @@ func (p *PHR) SaveState(w *state.Writer) {
 	w.U64(uint64(p.Len()))
 	// One word per 64 bits of packed register, low word first. Registers of
 	// 64 bits or fewer serialize exactly one word — the original encoding —
-	// and a zero-width register's single word is always zero, the
-	// placeholder every pre-multi-word snapshot carries.
+	// and a zero-width register keeps its single placeholder word so the
+	// byte layout of every pre-multi-word snapshot is unchanged.
+	if len(p.packed) == 0 {
+		w.U64(0)
+	}
 	top := len(p.packed) - 1
 	for i, t := range p.packed {
 		if i == top {
@@ -50,6 +53,10 @@ func (p *PHR) LoadState(r *state.Reader) error {
 	}
 	head := r.U64()
 	filled := r.U64()
+	var packed0 uint64
+	if len(p.packed) == 0 {
+		packed0 = r.U64() // zero-width placeholder word
+	}
 	// Like the ring below, the packed words land in place before the final
 	// error check: a failed restore leaves the register unspecified, which
 	// every caller already handles by discarding the predictor.
@@ -62,7 +69,10 @@ func (p *PHR) LoadState(r *state.Reader) error {
 	if head >= depth || filled > depth {
 		return state.Corruptf("PHR head %d / filled %d out of range for depth %d", head, filled, depth)
 	}
-	if n := len(p.packed); p.packed[n-1]&^p.topMask != 0 {
+	if len(p.packed) == 0 && packed0 != 0 {
+		return state.Corruptf("PHR zero-width packed register holds %#x", packed0)
+	}
+	if n := len(p.packed); n > 0 && p.packed[n-1]&^p.topMask != 0 {
 		return state.Corruptf("PHR packed top word %#x exceeds %d-bit register", p.packed[n-1], p.packedBits)
 	}
 	for i := range p.ring {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/state"
 	"repro/internal/trace"
@@ -51,13 +50,15 @@ func TestSnapshotGolden(t *testing.T) {
 		recs, _ := cfg.Records()
 		prefixes[i] = recs[:min(goldenPrefix, len(recs))]
 	}
+	all := builders()
 	for _, name := range bench.PredictorNames() {
+		build := all[name]
 		t.Run(name, func(t *testing.T) {
 			h := sha256.New()
 			for i, recs := range prefixes {
-				rec := sim.New(newFamily(t, name))
+				rec := sim.New(build())
 				rec.ProcessAll(recs)
-				blk := sim.New(newFamily(t, name))
+				blk := sim.New(build())
 				blk.ProcessBlocks(trace.Blocks(recs))
 				a, b := state.SaveBytes(rec), state.SaveBytes(blk)
 				if !bytes.Equal(a, b) {
@@ -71,12 +72,4 @@ func TestSnapshotGolden(t *testing.T) {
 			}
 		})
 	}
-}
-
-func newFamily(t *testing.T, name string) predictor.IndirectPredictor {
-	p, ok := bench.NewPredictor(name)
-	if !ok {
-		t.Fatalf("unknown family %q", name)
-	}
-	return p
 }
