@@ -2,8 +2,9 @@
 // that record the recent targets of a selected stream of branches. Two views
 // are provided, matching the two families of predictors in the paper:
 //
-//   - Recent() exposes the most recent full targets, which the PPM
-//     predictor's SFSXS mapping selects and folds per target (Figure 2);
+//   - the ring of most recent full targets, which the PPM predictor's
+//     SFSXS mapping selects and folds per target in place (SFSXSAll,
+//     Figure 2) and Recent() copies out for other readers;
 //   - Packed() exposes the conventional k-bits-per-target shift register
 //     used by GAp, Target Cache and Dual-path gshare/interleaved indexing.
 package history
