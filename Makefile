@@ -112,12 +112,16 @@ check-ittage:
 # Short fuzz slices keep the parsers honest without turning CI into a
 # fuzzing farm: the IBT2 trace reader (differential against a byte-at-a-time
 # reference decoder), the snapshot codec (round-trip identity plus
-# typed-error rejection of corrupted/truncated state), and a live session's
+# typed-error rejection of corrupted/truncated state), a live session's
 # predict endpoint (response shape, record accounting, session still usable,
-# no goroutine leaks).
+# no goroutine leaks), and the trace upload endpoint, which streams each
+# body through one goroutine per predictor (one cell counting exactly the
+# decoded records or a typed 4xx, the server still usable, no goroutine
+# leaks).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzStateRoundTrip -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -run='^$$' -fuzz=FuzzSessionPredict -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzUpload -fuzztime=$(FUZZTIME) ./internal/serve
 
 ci: build lint gates race grid-smoke serve-smoke session-smoke check-quick check-ittage fuzz-smoke

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -81,7 +82,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			fatal(err)
 		}
-		if err := eng.ProcessReader(r); err != nil {
+		if err := eng.ProcessReader(context.Background(), r); err != nil {
 			fatal(err)
 		}
 	case *benchName != "":

@@ -10,6 +10,7 @@
 //     a net/os I/O call, a sync.WaitGroup.Wait, a sim.Engine.Process chain,
 //     or one of the repository's known cross-package blockers
 //     (tracecache.GetBlocks' singleflight wait, sched's Map join,
+//     sim.Engine.ProcessReader's join of its predictor goroutines,
 //     serve.Server.Shutdown's drain). Whatever the blocked operation waits
 //     on, every contender for the held lock now waits on it too — the
 //     serve/sched/tracecache layering forbids it.
@@ -366,13 +367,13 @@ var blockingOSNames = map[string]bool{
 }
 
 // knownBlockers are repository cross-package calls that wait: the
-// singleflight trace materialization, the scheduler's joins, and the
-// serving drain.
+// singleflight trace materialization, the scheduler's joins, the streaming
+// engine's decode ring and predictor goroutines, and the serving drain.
 var knownBlockers = map[string]map[string]string{
 	"repro/internal/tracecache": {"Get": "trace generation (singleflight wait)", "GetBlocks": "trace generation (singleflight wait)"},
 	"repro/internal/sched":      {"Map": "worker-pool join"},
 	"repro/internal/serve":      {"Shutdown": "shutdown drain"},
-	"repro/internal/sim":        {"Process": "simulation", "ProcessAll": "simulation", "ProcessReader": "simulation"},
+	"repro/internal/sim":        {"Process": "simulation", "ProcessAll": "simulation", "ProcessReader": "streaming simulation (decode ring, predictor goroutine join)"},
 }
 
 // blockingCall classifies a callee as blocking, returning a description.

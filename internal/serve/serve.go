@@ -625,10 +625,11 @@ func isTraceUpload(r *http.Request) bool {
 }
 
 // handleUpload simulates an uploaded trace against a predictor suite while
-// the body streams in: records decode through trace.Reader into one reused
-// block that feeds the block engine, so a multi-gigabyte trace costs
-// constant memory. The simulation slot is try-acquired — a saturated server
-// sheds the upload with 429 before reading the body.
+// the body streams in: sim.Engine.ProcessReader decodes it into a small
+// ring of blocks on this goroutine while each predictor replays the ring on
+// its own, so a multi-gigabyte trace costs constant memory. The simulation
+// slot is try-acquired — a saturated server sheds the upload with 429
+// before reading the body.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	spec := JobSpec{
 		Suite:      r.URL.Query().Get("suite"),
@@ -673,7 +674,19 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := sim.New(build()...)
-	if err := streamTrace(e, tr, r); err != nil {
+	// The job context is the one the stream watches: a vanished client
+	// cancels it like DELETE, the job deadline and the drain abort do.
+	stop := context.AfterFunc(r.Context(), func() { j.cancel(errRequestGone) })
+	err = streamTrace(j.ctx, e, tr)
+	stop()
+	switch {
+	case err == nil:
+		j.appendCell(cellResult(0, label, e))
+		s.met.cells.Add(1)
+	case j.ctx.Err() != nil && !errors.Is(context.Cause(j.ctx), errRequestGone):
+		// Cancelled, past its deadline or drain-aborted: no cell, and the
+		// done line below says which.
+	default:
 		code := http.StatusBadRequest // truncation, corruption, vanished client
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
@@ -684,51 +697,31 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err.Error())
 		return
 	}
-
-	j.appendCell(cellResult(0, label, e))
-	s.met.cells.Add(1)
+	s.finishJob(j)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Job-ID", j.id)
 	enc := json.NewEncoder(w)
-	cells, _, _, _, _ := j.snapshot(0)
+	cells, state, errMsg, _, _ := j.snapshot(0)
 	for i := range cells {
 		_ = enc.Encode(Event{Type: "cell", Job: j.id, Cell: &cells[i]})
 	}
-	_ = enc.Encode(Event{Type: "done", Job: j.id, State: StateDone})
+	_ = enc.Encode(Event{Type: "done", Job: j.id, State: state, Error: errMsg})
 }
 
 var errRequestGone = errors.New("serve: request context cancelled mid-upload")
 
-// streamTrace pumps the upload through the engine one decoded block at a
-// time, surfacing truncation as trace.ErrTruncated (a client error, 400)
-// and checking the request context before every block — every
-// trace.BlockCap records — so an abandoned upload stops burning a
-// simulation slot.
-func streamTrace(e *sim.Engine, tr *trace.Reader, r *http.Request) error {
-	b := uploadBlocks.Get().(*trace.Block)
-	defer uploadBlocks.Put(b)
-	for {
-		if r.Context().Err() != nil {
-			return errRequestGone
-		}
-		err := tr.ReadBlock(b)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if errors.Is(err, trace.ErrTruncated) {
-				return fmt.Errorf("upload truncated after %d records: %w", tr.Count(), err)
-			}
-			return err
-		}
-		e.ProcessBlock(b)
+// streamTrace runs the upload through the engine, which checks ctx — the
+// job's context — before every decoded block, and surfaces truncation as
+// trace.ErrTruncated naming the whole records before it (a client error,
+// 400).
+func streamTrace(ctx context.Context, e *sim.Engine, tr *trace.Reader) error {
+	err := e.ProcessReader(ctx, tr)
+	if errors.Is(err, trace.ErrTruncated) {
+		return fmt.Errorf("upload truncated after %d records: %w", tr.Count(), err)
 	}
+	return err
 }
-
-// uploadBlocks recycles the decode block across uploads, so a served upload
-// allocates no lane storage once the pool is warm.
-var uploadBlocks = sync.Pool{New: func() any { return new(trace.Block) }}
 
 // traceReaders recycles IBT2 decoders, and with them their 64 KiB byte
 // windows, across uploads and live predict requests.

@@ -24,29 +24,40 @@ type BlockPredictor interface {
 
 // ProcessBlock feeds one columnar block to every predictor, whole-block
 // per predictor: the RAS steps through the block once, then each predictor
-// replays the block in turn — batch fast path when it opts in via
-// BlockPredictor, otherwise the per-record step over records reassembled
-// from the lanes (the oracle stays there on purpose). Predictors share no
-// state with each other or with the RAS, so this reordering relative to
-// the record-interleaved Process loop leaves every per-predictor outcome
-// and the RAS accounting bit-identical.
+// replays the block in turn through replay. Predictors share no state with
+// each other or with the RAS, so this reordering relative to the
+// record-interleaved Process loop leaves every per-predictor outcome and
+// the RAS accounting bit-identical.
 //
 //ppm:hotpath per-block engine step driving every predictor
 func (e *Engine) ProcessBlock(b *trace.Block) {
-	n := uint64(b.Len())
+	e.account(b)
+	for _, l := range e.lanes {
+		l.replay(b, l.c)
+	}
+}
+
+// account is the engine's own share of a block, apart from the
+// predictors: the record and instruction totals and the RAS.
+func (e *Engine) account(b *trace.Block) {
+	n := uint64(len(b.Meta))
 	e.records += n
 	e.instrs += b.GapSum + n
 	e.ras.ProcessBlock(b)
-	for i, p := range e.preds {
-		c := &e.counters[i]
-		if bp := e.bp[i]; bp != nil {
-			bp.ProcessBlock(b, c)
-			continue
-		}
-		va := e.va[i]
-		for k := 0; k < b.Len(); k++ {
-			step(p, va, c, b.Record(k))
-		}
+}
+
+// replay is the per-predictor body of the block engine, shared by
+// ProcessBlock and ProcessReader's predictor goroutines: the predictor's
+// batch fast path when it opts in via BlockPredictor, otherwise the
+// per-record step over records reassembled from the lanes (the oracle
+// stays there on purpose). It accumulates into c.
+func (l *lane) replay(b *trace.Block, c *stats.Counters) {
+	if l.bp != nil {
+		l.bp.ProcessBlock(b, c)
+		return
+	}
+	for k := 0; k < b.Len(); k++ {
+		step(l.p, l.va, c, b.Record(k))
 	}
 }
 

@@ -5,10 +5,19 @@
 // accumulates the misprediction statistics of Section 5. A RAS is simulated
 // alongside to account for returns, which are excluded from the indirect
 // predictors' workload.
+//
+// Predictors share no state with each other or with the RAS, and the
+// engine relies on it: ProcessBlock replays a whole block through one
+// predictor before the next, and ProcessReader goes further, replaying a
+// streamed trace through each predictor on a goroutine of its own while
+// the caller decodes into a ring of RingSlots blocks. Every front end
+// yields the same counters as the record-at-a-time Process loop. An
+// engine itself is not safe for concurrent use, and one predictor instance
+// must not be attached twice (New panics).
 package sim
 
 import (
-	"io"
+	"reflect"
 
 	"repro/internal/predictor"
 	"repro/internal/ras"
@@ -18,41 +27,57 @@ import (
 
 // Engine drives one record stream through any number of predictors.
 type Engine struct {
-	preds []predictor.IndirectPredictor
-	// va is the ValueAware lane: va[i] is non-nil iff preds[i] consumes
-	// the switch variable value. Precomputed at construction so Process
-	// does not pay a type assertion per predictor per MT record.
-	va []ValueAware
-	// bp is the batch lane: bp[i] is non-nil iff preds[i] opts into
-	// whole-block processing via BlockPredictor, letting ProcessBlock
-	// skip the record-at-a-time fallback for it.
-	bp       []BlockPredictor
+	lanes    []lane
 	counters []stats.Counters
 	ras      *ras.Stack
 	records  uint64
 	instrs   uint64
 }
 
+// lane is one attached predictor with its optional capabilities resolved
+// at construction, so neither the record loop nor the block loop pays a
+// type assertion per predictor.
+type lane struct {
+	p predictor.IndirectPredictor
+	// va is non-nil iff p consumes the switch variable value.
+	va ValueAware
+	// bp is non-nil iff p opts into whole-block processing via
+	// BlockPredictor, letting the block engine skip the record-at-a-time
+	// fallback for it.
+	bp BlockPredictor
+	// c is p's entry in the engine's counters.
+	c *stats.Counters
+}
+
 // New builds an engine over the given predictors. A 64-deep RAS is
-// simulated for return accounting.
+// simulated for return accounting. Panics if the same predictor instance
+// is attached twice: ProcessReader replays each predictor on its own
+// goroutine, and one instance must never run on two.
 func New(preds ...predictor.IndirectPredictor) *Engine {
 	e := &Engine{
-		preds:    preds,
-		va:       make([]ValueAware, len(preds)),
-		bp:       make([]BlockPredictor, len(preds)),
+		lanes:    make([]lane, len(preds)),
 		counters: make([]stats.Counters, len(preds)),
 		ras:      ras.New(64),
 	}
 	for i, p := range preds {
-		e.counters[i].Predictor = p.Name()
-		if v, ok := p.(ValueAware); ok {
-			e.va[i] = v
+		for _, q := range preds[:i] {
+			if sameInstance(p, q) {
+				panic("sim: predictor " + p.Name() + " attached twice")
+			}
 		}
-		if b, ok := p.(BlockPredictor); ok {
-			e.bp[i] = b
-		}
+		l := lane{p: p, c: &e.counters[i]}
+		l.va, _ = p.(ValueAware)
+		l.bp, _ = p.(BlockPredictor)
+		e.lanes[i] = l
+		l.c.Predictor = p.Name()
 	}
 	return e
+}
+
+// sameInstance reports whether p and q are one predictor. Values of a
+// type that cannot be compared are never the same instance.
+func sameInstance(p, q predictor.IndirectPredictor) bool {
+	return reflect.TypeOf(p).Comparable() && p == q
 }
 
 // ValueAware is implemented by predictors that consume the switch variable
@@ -108,8 +133,8 @@ func (e *Engine) ProcessPredicted(r trace.Record) (p Prediction, dispatched bool
 	e.records++
 	e.instrs += uint64(r.Gap) + 1
 	e.ras.Process(r)
-	for i, pr := range e.preds {
-		target, ok := step(pr, e.va[i], &e.counters[i], r)
+	for i, l := range e.lanes {
+		target, ok := step(l.p, l.va, l.c, r)
 		if i == 0 {
 			p = Prediction{Target: target, Predicted: ok, Correct: ok && target == r.Target}
 		}
@@ -121,23 +146,6 @@ func (e *Engine) ProcessPredicted(r trace.Record) (p Prediction, dispatched bool
 func (e *Engine) ProcessAll(recs []trace.Record) {
 	for _, r := range recs {
 		e.Process(r)
-	}
-}
-
-// ProcessReader streams records from a trace.Reader until EOF, decoding
-// into one reused block and replaying it through the block engine. On a
-// decode error the records before it have been processed.
-func (e *Engine) ProcessReader(r *trace.Reader) error {
-	var b trace.Block
-	for {
-		err := r.ReadBlock(&b)
-		if err == io.EOF {
-			return nil
-		}
-		e.ProcessBlock(&b)
-		if err != nil {
-			return err
-		}
 	}
 }
 
@@ -167,11 +175,11 @@ func (e *Engine) Instructions() uint64 { return e.instrs }
 // Reset returns the engine and every resettable predictor to power-up
 // state.
 func (e *Engine) Reset() {
-	for i, p := range e.preds {
-		if r, ok := p.(predictor.Resetter); ok {
+	for i, l := range e.lanes {
+		if r, ok := l.p.(predictor.Resetter); ok {
 			r.Reset()
 		}
-		e.counters[i] = stats.Counters{Predictor: p.Name()}
+		e.counters[i] = stats.Counters{Predictor: l.p.Name()}
 	}
 	e.ras.Reset()
 	e.records, e.instrs = 0, 0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/btb"
@@ -116,7 +117,7 @@ func TestProcessReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(btb.New(16))
-	if err := e.ProcessReader(r); err != nil {
+	if err := e.ProcessReader(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	if e.Records() != 50 {

@@ -7,8 +7,8 @@ import "repro/internal/state"
 // (unbounded measurement device) is the one shipped predictor that does
 // not.
 func (e *Engine) Snapshottable() bool {
-	for _, p := range e.preds {
-		if _, ok := p.(state.Snapshotter); !ok {
+	for _, l := range e.lanes {
+		if _, ok := l.p.(state.Snapshotter); !ok {
 			return false
 		}
 	}
@@ -21,7 +21,7 @@ func (e *Engine) Snapshottable() bool {
 // with Snapshottable for dynamic sets.
 func (e *Engine) Snapshot(w *state.Writer) {
 	w.Begin(state.SecEngine)
-	w.U64(uint64(len(e.preds)))
+	w.U64(uint64(len(e.lanes)))
 	w.U64(e.records)
 	w.U64(e.instrs)
 	for i := range e.counters {
@@ -33,8 +33,8 @@ func (e *Engine) Snapshot(w *state.Writer) {
 	}
 	w.End()
 	e.ras.Snapshot(w)
-	for _, p := range e.preds {
-		p.(state.Snapshotter).Snapshot(w)
+	for _, l := range e.lanes {
+		l.p.(state.Snapshotter).Snapshot(w)
 	}
 }
 
@@ -45,11 +45,11 @@ func (e *Engine) Restore(r *state.Reader) error {
 	if err := r.Begin(state.SecEngine); err != nil {
 		return err
 	}
-	if n := r.U64(); n != uint64(len(e.preds)) {
+	if n := r.U64(); n != uint64(len(e.lanes)) {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		return state.Mismatchf("engine has %d predictors, snapshot %d", len(e.preds), n)
+		return state.Mismatchf("engine has %d predictors, snapshot %d", len(e.lanes), n)
 	}
 	records := r.U64()
 	instrs := r.U64()
@@ -66,8 +66,8 @@ func (e *Engine) Restore(r *state.Reader) error {
 	if err := e.ras.Restore(r); err != nil {
 		return err
 	}
-	for _, p := range e.preds {
-		if err := p.(state.Snapshotter).Restore(r); err != nil {
+	for _, l := range e.lanes {
+		if err := l.p.(state.Snapshotter).Restore(r); err != nil {
 			return err
 		}
 	}

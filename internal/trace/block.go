@@ -148,10 +148,11 @@ func (b *Block) append(r Record) {
 	}
 }
 
-// newBlock returns an empty block with every fixed lane preallocated to n
-// records. The index lanes start small and grow as indirect branches
-// arrive; the Value lane is allocated lazily.
-func newBlock(n int) Block {
+// NewBlock returns an empty block with every fixed lane preallocated to n
+// records, the capacity Reader.ReadBlock fills it to. The index lanes
+// start small and grow as indirect branches arrive; the Value lane is
+// allocated lazily.
+func NewBlock(n int) Block {
 	return Block{
 		PC:     make([]uint64, 0, n),
 		Target: make([]uint64, 0, n),
@@ -183,7 +184,7 @@ func NewBlockBuilder(blockCap int) *BlockBuilder {
 func (bb *BlockBuilder) Append(r Record) {
 	n := len(bb.blks)
 	if n == 0 || bb.blks[n-1].Len() == bb.blockCap {
-		bb.blks = append(bb.blks, newBlock(bb.blockCap))
+		bb.blks = append(bb.blks, NewBlock(bb.blockCap))
 		n++
 	}
 	bb.blks[n-1].append(r)
@@ -247,19 +248,21 @@ func BlocksRecords(blks []Block) []Record {
 	return recs
 }
 
-// ReadBlock refills b with the next run of up to BlockCap records, reusing
-// b's lane storage (the Value lane included) so a streaming decode
-// allocates nothing per block once the lanes have grown. It returns io.EOF,
-// with b empty, once the stream is exhausted; a short final block comes
-// back with a nil error first. On any other error b holds the records
-// decoded before it.
+// ReadBlock refills b with the next run of records, up to the capacity of
+// b's lanes (a zero Block gets BlockCap-record lanes), reusing b's lane
+// storage (the Value lane included) so a streaming decode allocates
+// nothing per block once the lanes have grown. It returns io.EOF, with b
+// empty, once the stream is exhausted; a short final block comes back
+// with a nil error first. On any other error b holds the records decoded
+// before it.
 func (r *Reader) ReadBlock(b *Block) error {
-	if cap(b.Meta) < BlockCap {
-		*b = newBlock(BlockCap)
+	if cap(b.Meta) == 0 {
+		*b = NewBlock(BlockCap)
 	}
+	n := cap(b.Meta)
 	b.PC, b.Target, b.Meta, b.Gap = b.PC[:0], b.Target[:0], b.Meta[:0], b.Gap[:0]
 	b.Value, b.MTIdx, b.PIBIdx, b.GapSum = b.Value[:0], b.MTIdx[:0], b.PIBIdx[:0], 0
-	for b.Len() < BlockCap {
+	for b.Len() < n {
 		rec, err := r.Read()
 		if err == io.EOF && b.Len() > 0 {
 			return nil

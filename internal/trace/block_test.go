@@ -227,6 +227,46 @@ func TestReadBlocksMatchesReadAll(t *testing.T) {
 	}
 }
 
+// TestReadBlockFillsLaneCapacity: ReadBlock fills a block up to the lane
+// capacity it was given, so a ring of small blocks costs what they hold;
+// only a zero Block is given BlockCap-record lanes.
+func TestReadBlockFillsLaneCapacity(t *testing.T) {
+	recs := blockRecords(2500)
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	for _, r := range recs {
+		_ = w.Write(r)
+	}
+	_ = w.Flush()
+	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBlock(1000)
+	var got []Record
+	var lens []int
+	for {
+		err := rd.ReadBlock(&b)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(b.Meta) != 1000 {
+			t.Fatalf("ReadBlock regrew the lanes to %d records", cap(b.Meta))
+		}
+		lens = append(lens, b.Len())
+		got = append(got, BlocksRecords([]Block{b})...)
+	}
+	if want := []int{1000, 1000, 500}; !reflect.DeepEqual(lens, want) {
+		t.Errorf("block lengths %v, want %v", lens, want)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Error("records decoded into a small block differ from the stream")
+	}
+}
+
 func TestReadBlocksTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
