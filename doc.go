@@ -9,8 +9,4 @@
 // in cmd/experiments regenerates every table and figure of the paper's
 // evaluation section. See README.md for the tour, DESIGN.md for the system
 // inventory, and EXPERIMENTS.md for paper-vs-measured results.
-//
-// The benchmarks in bench_test.go (this package) regenerate the paper's
-// tables and figures under `go test -bench`, one benchmark per artifact,
-// and additionally measure raw predictor throughput.
 package repro

@@ -24,7 +24,7 @@ func allocTrace(t *testing.T) []trace.Record {
 		t.Fatal("gcc.cp missing from suite")
 	}
 	cfg.Events = 3000
-	recs, _ := Traces(cfg)
+	recs, _ := cfg.Records()
 	return recs
 }
 

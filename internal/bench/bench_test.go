@@ -131,7 +131,7 @@ func runSuite(t *testing.T, events int, preds func() []predictor.IndirectPredict
 	t.Helper()
 	perPred := map[string][]stats.Counters{}
 	for _, cfg := range Sized(events) {
-		recs, _ := Traces(cfg)
+		recs, _ := cfg.Records()
 		for _, c := range sim.Run(recs, preds()...) {
 			perPred[c.Predictor] = append(perPred[c.Predictor], c)
 		}
@@ -180,7 +180,7 @@ func TestFigure7Ordering(t *testing.T) {
 	}
 	perPred := map[string]map[string]float64{}
 	for _, cfg := range Sized(20000) {
-		recs, _ := Traces(cfg)
+		recs, _ := cfg.Records()
 		for _, c := range sim.Run(recs, Figure7Predictors()...) {
 			if perPred[c.Predictor] == nil {
 				perPred[c.Predictor] = map[string]float64{}

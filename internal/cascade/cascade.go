@@ -83,7 +83,8 @@ type Cascade struct {
 	promotions   uint64
 }
 
-// New builds a Cascade predictor. Panics on invalid configuration.
+// New builds a Cascade predictor. Panics if the configuration is invalid,
+// including a main predictor NewDualPath rejects.
 func New(cfg Config) *Cascade {
 	if cfg.FilterEntries <= 0 || cfg.FilterEntries&(cfg.FilterEntries-1) != 0 {
 		panic(fmt.Sprintf("cascade: filter entries must be a positive power of two, got %d", cfg.FilterEntries))
@@ -178,33 +179,23 @@ func (c *Cascade) Update(pc, target uint64) {
 func (c *Cascade) Observe(r trace.Record) { c.main.Observe(r) }
 
 // ProcessBlock implements the engine's batch fast path. The filter holds
-// no history and the main Dual-path's registers record only MT-indirect
-// targets in the paper's configuration, so the whole two-stage protocol is
-// driven by the block's MTIdx lane; a main predictor on other streams
-// replays record-exactly.
+// no history and both main components record one stream (NewDualPath
+// checks), so the whole two-stage protocol is driven by that stream's
+// index lane.
 //
-//ppm:hotpath whole-block Cascade replay over the MT index lane
+//ppm:hotpath whole-block Cascade replay over its stream's index lane
 func (c *Cascade) ProcessBlock(b *trace.Block, ctr *stats.Counters) {
-	if !c.main.MTOnly() {
-		for i := 0; i < b.Len(); i++ {
-			r := b.Record(i)
-			if r.MTIndirect() {
-				target, ok := c.Predict(r.PC)
-				ctr.Record(ok && target == r.Target, ok)
-				c.Update(r.PC, r.Target)
-			}
-			c.Observe(r)
+	pcs, tgts, metas := b.PC, b.Target, b.Meta
+	for _, k := range c.cfg.Main.Short.HistoryStream.Lane(b) {
+		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
+		//lint:idxsafe lane entries index the block's lanes by construction
+		if metas[k]&trace.MetaMT != 0 {
+			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
+			target, ok := c.Predict(pc)
+			ctr.Record(ok && target == tgt, ok)
+			c.Update(pc, tgt)
 		}
-		return
-	}
-	pcs, tgts := b.PC, b.Target
-	for _, k := range b.MTIdx {
-		pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
-		tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
-		target, ok := c.Predict(pc)
-		ctr.Record(ok && target == tgt, ok)
-		c.Update(pc, tgt)
-		c.main.PushMT(tgt)
+		c.main.Push(tgt)
 	}
 }
 

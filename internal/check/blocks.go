@@ -4,14 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/bench"
+	"repro/internal/cascade"
 	"repro/internal/cbt"
 	"repro/internal/core"
+	"repro/internal/history"
+	"repro/internal/ittage"
 	"repro/internal/oracle"
 	"repro/internal/predictor"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracecache"
+	"repro/internal/twolevel"
 	"repro/internal/workload"
 )
 
@@ -158,4 +162,39 @@ func ExtensionPredictors() []predictor.IndirectPredictor {
 		core.NewMultiTarget(10, 4),
 		oracle.New(8),
 	}
+}
+
+// StreamVariantPredictors builds each history family on the lane stream it
+// does not ship with: GAp and Target Cache on the MT stream; Dual-path, a
+// Cascade main and ITTAGE on the PIB stream. Their block paths walk the
+// lane history.Stream.Lane names, so BlockEngineIdentity over this set
+// holds that mapping to the record engine's Stream.Accepts for the
+// family/stream pairs the shipped line-ups leave out.
+func StreamVariantPredictors() []predictor.IndirectPredictor {
+	gap := refPaperGAp()
+	gap.Name, gap.HistoryStream = "GAp-MT", history.MTIndirectBranches
+	dpath := onStream(refPaperDualPath(), "Dpath-PIB", history.IndirectBranches)
+	main := onStream(refPaperCascadeMain(), "Cascade-PIB-main", history.IndirectBranches)
+	return []predictor.IndirectPredictor{
+		twolevel.NewGAp(gap),
+		twolevel.NewTargetCache(twolevel.TargetCacheConfig{
+			Name: "TC-MT", Entries: 2048, HistoryBits: 11, BitsPerTarget: 2,
+			HistoryStream: history.MTIndirectBranches,
+		}),
+		twolevel.NewDualPath(dpath),
+		cascade.New(cascade.Config{Name: "Cascade-PIB", FilterEntries: 128, Policy: cascade.Leaky, Main: main}),
+		ittage.New(ittage.Config{
+			Name: "ITTAGE-PIB", BaseEntries: 1024, Banks: 4, BankEntries: 256, TagBits: 10,
+			MinHist: 4, MaxHist: 64, BitsPerItem: 2, ResetPeriod: 2048,
+			Stream: history.IndirectBranches,
+		}),
+	}
+}
+
+// onStream renames a Dual-path configuration and moves both of its
+// components onto stream.
+func onStream(cfg twolevel.DualPathConfig, name string, stream history.Stream) twolevel.DualPathConfig {
+	cfg.Name = name
+	cfg.Short.HistoryStream, cfg.Long.HistoryStream = stream, stream
+	return cfg
 }

@@ -248,7 +248,7 @@ func TestRefMix64Agrees(t *testing.T) {
 func TestRefHistoryAgreesWithPHR(t *testing.T) {
 	streams := []history.Stream{
 		history.AllBranches, history.IndirectBranches,
-		history.MTIndirectBranches, history.TakenBranches,
+		history.MTIndirectBranches,
 	}
 	geoms := []struct {
 		depth      int

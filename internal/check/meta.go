@@ -188,6 +188,9 @@ func Metamorphic(seed uint64, events int) error {
 	if err := BlockEngineIdentity(RandomTrace(seed+3, events), ExtensionPredictors); err != nil {
 		return err
 	}
+	if err := BlockEngineIdentity(RandomTrace(seed+5, events), StreamVariantPredictors); err != nil {
+		return err
+	}
 	if err := StateIdentity(RandomTrace(seed+4, events)); err != nil {
 		return err
 	}

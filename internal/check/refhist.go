@@ -43,8 +43,6 @@ func refAccepts(s history.Stream, r trace.Record) bool {
 		return isIndirectJmpJsr
 	case history.MTIndirectBranches:
 		return r.MT && isIndirectJmpJsr
-	case history.TakenBranches:
-		return r.Taken
 	}
 	return false
 }

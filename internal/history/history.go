@@ -7,6 +7,11 @@
 //     Figure 2) and Recent() copies out for other readers;
 //   - Packed() exposes the conventional k-bits-per-target shift register
 //     used by GAp, Target Cache and Dual-path gshare/interleaved indexing.
+//
+// A register records one of three streams: every branch (PB), every
+// indirect jmp/jsr (PIB) or the multi-target indirect ones (MT). Stream.Lane
+// maps the PIB and MT streams onto the trace.Block index lane listing their
+// records, the one place block paths learn which lane to walk.
 package history
 
 import (
@@ -29,8 +34,6 @@ const (
 	// MTIndirectBranches records only multi-target indirect jmp/jsr
 	// targets — the stream the Dual-path predictor registers observe.
 	MTIndirectBranches
-	// TakenBranches records targets of taken branches only.
-	TakenBranches
 )
 
 // String names the stream.
@@ -42,8 +45,6 @@ func (s Stream) String() string {
 		return "PIB"
 	case MTIndirectBranches:
 		return "MT"
-	case TakenBranches:
-		return "taken"
 	}
 	return "stream(?)"
 }
@@ -57,10 +58,32 @@ func (s Stream) Accepts(r trace.Record) bool {
 		return r.PIBStream()
 	case MTIndirectBranches:
 		return r.MTIndirect()
-	case TakenBranches:
-		return r.Taken
 	}
 	return false
+}
+
+// HasLane reports whether a trace.Block carries an index lane listing
+// exactly the records of the stream: PIB and MT do, PB does not. The
+// families whose block paths walk a lane (GAp, Target Cache, Dual-path,
+// Cascade, ITTAGE) reject streams without one at construction.
+func (s Stream) HasLane() bool {
+	return s == IndirectBranches || s == MTIndirectBranches
+}
+
+// Lane returns the block's index lane for the stream — PIBIdx for
+// IndirectBranches, MTIdx for MTIndirectBranches — or nil for a stream
+// without one (see HasLane). Every MT-indirect record is on both lanes, so
+// a block path that walks its stream's lane, predicting and training where
+// the Meta byte has MetaMT set and pushing every target, replays the record
+// loop exactly.
+func (s Stream) Lane(b *trace.Block) []int32 {
+	switch s {
+	case IndirectBranches:
+		return b.PIBIdx
+	case MTIndirectBranches:
+		return b.MTIdx
+	}
+	return nil
 }
 
 // PHR is a path history register holding the most recent `depth` targets of

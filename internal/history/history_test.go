@@ -26,13 +26,42 @@ func TestStreamAccepts(t *testing.T) {
 		{MTIndirectBranches, rec(trace.IndirectJmp, 4, true), true},
 		{MTIndirectBranches, rec(trace.IndirectJmp, 4, false), false},
 		{MTIndirectBranches, rec(trace.IndirectJsr, 4, false), false},
-		{TakenBranches, trace.Record{Class: trace.CondDirect, Taken: false}, false},
-		{TakenBranches, trace.Record{Class: trace.CondDirect, Taken: true}, true},
 	}
 	for _, c := range cases {
 		if got := c.stream.Accepts(c.rec); got != c.want {
 			t.Errorf("%v.Accepts(%v) = %v, want %v", c.stream, c.rec, got, c.want)
 		}
+	}
+}
+
+// TestStreamLane: a stream's lane lists exactly the positions Accepts
+// takes, and PB, which has no lane, is rejected by HasLane.
+func TestStreamLane(t *testing.T) {
+	var recs []trace.Record
+	for _, c := range []trace.Class{trace.CondDirect, trace.IndirectJmp, trace.Return, trace.IndirectJsr, trace.DirectCall} {
+		recs = append(recs, rec(c, 4, false), rec(c, 8, true))
+	}
+	b := &trace.Blocks(recs)[0]
+	for _, s := range []Stream{IndirectBranches, MTIndirectBranches} {
+		var want []int32
+		for i, r := range recs {
+			if s.Accepts(r) {
+				want = append(want, int32(i))
+			}
+		}
+		got := s.Lane(b)
+		if !s.HasLane() || len(got) != len(want) {
+			t.Fatalf("%v: HasLane %v, lane %v, want %v", s, s.HasLane(), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%v lane = %v, want %v", s, got, want)
+				break
+			}
+		}
+	}
+	if AllBranches.HasLane() || AllBranches.Lane(b) != nil {
+		t.Error("PB stream reports a lane")
 	}
 }
 

@@ -61,7 +61,8 @@ type Config struct {
 	// ResetPeriod is the graceful-reset cadence: every ResetPeriod updates,
 	// every usefulness counter is halved. 0 disables the reset.
 	ResetPeriod uint64
-	// Stream selects which records advance the history.
+	// Stream selects which records advance the history: PIB or MT, the
+	// streams with a block index lane.
 	Stream history.Stream
 }
 
@@ -83,6 +84,9 @@ func (c Config) validate() error {
 	}
 	if c.BitsPerItem == 0 || c.BitsPerItem > 32 {
 		return fmt.Errorf("ittage: bits per item must be in [1,32], got %d", c.BitsPerItem)
+	}
+	if !c.Stream.HasLane() {
+		return fmt.Errorf("ittage: history stream %v has no block index lane", c.Stream)
 	}
 	return nil
 }
@@ -152,8 +156,10 @@ type pendingState struct {
 	altOK    bool
 }
 
-// New builds an ITTAGE predictor. Panics on invalid configuration, which is
-// always a programming error in this repository's fixed experiment set.
+// New builds an ITTAGE predictor. Panics if the configuration is invalid,
+// including a stream with no block index lane (history.Stream.HasLane),
+// which is always a programming error in this repository's fixed
+// experiment set.
 func New(cfg Config) *ITTAGE {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -430,31 +436,22 @@ func (p *ITTAGE) push(target uint64) {
 	p.hist.Push(target)
 }
 
-// ProcessBlock implements the engine's batch fast path. With the shipped
-// MT-indirect stream the whole protocol — predict, update, history push —
-// is driven by the block's MTIdx lane; other streams replay record-exactly.
+// ProcessBlock implements the engine's batch fast path: the whole
+// protocol — predict, update, history push — is driven by the index lane
+// of the configured stream.
 //
-//ppm:hotpath whole-block ITTAGE replay over the MT index lane
+//ppm:hotpath whole-block ITTAGE replay over its stream's index lane
 func (p *ITTAGE) ProcessBlock(b *trace.Block, c *stats.Counters) {
-	if p.hist.Stream() != history.MTIndirectBranches {
-		for i := 0; i < b.Len(); i++ {
-			r := b.Record(i)
-			if r.MTIndirect() {
-				target, ok := p.Predict(r.PC)
-				c.Record(ok && target == r.Target, ok)
-				p.Update(r.PC, r.Target)
-			}
-			p.Observe(r)
+	pcs, tgts, metas := b.PC, b.Target, b.Meta
+	for _, k := range p.hist.Stream().Lane(b) {
+		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
+		//lint:idxsafe lane entries index the block's lanes by construction
+		if metas[k]&trace.MetaMT != 0 {
+			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
+			target, ok := p.Predict(pc)
+			c.Record(ok && target == tgt, ok)
+			p.Update(pc, tgt)
 		}
-		return
-	}
-	pcs, tgts := b.PC, b.Target
-	for _, k := range b.MTIdx {
-		pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
-		tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
-		target, ok := p.Predict(pc)
-		c.Record(ok && target == tgt, ok)
-		p.Update(pc, tgt)
 		p.push(tgt)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/history"
 	"repro/internal/state"
 	"repro/internal/trace"
 )
@@ -207,6 +208,7 @@ func TestConfigValidation(t *testing.T) {
 	base := Config{
 		Name: "x", BaseEntries: 64, Banks: 2, BankEntries: 32,
 		TagBits: 8, MinHist: 2, MaxHist: 8, BitsPerItem: 2,
+		Stream: history.MTIndirectBranches,
 	}
 	bad := []func(Config) Config{
 		func(c Config) Config { c.BaseEntries = 48; return c },

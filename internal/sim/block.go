@@ -14,10 +14,13 @@ import (
 // Implementations MUST be observationally equivalent to the record loop:
 // for each record of the block in stream order — if the record is
 // MT-indirect, predict at the pre-update history, record the outcome into
-// c, then train; then observe the record (history registers, BIU). A
-// predictor that consumes the switch value (ValueAware) must read it from
-// the block's Value lane itself; the engine's per-record SetValue forward
-// only runs on the fallback path.
+// c, then train; then observe the record (history registers, BIU). A fast
+// path whose only per-record work outside MT-indirect records is one
+// history stream walks the index lane that stream names
+// (history.Stream.Lane) and visits no other record. A predictor that
+// consumes the switch value (ValueAware) must read it from the block's
+// Value lane itself; the engine's per-record SetValue forward only runs on
+// the fallback path.
 type BlockPredictor interface {
 	ProcessBlock(b *trace.Block, c *stats.Counters)
 }

@@ -37,13 +37,14 @@ type Block struct {
 
 	// MTIdx lists, in stream order, the positions of multi-target
 	// indirect jmp/jsr records (Record.MTIndirect) — the records
-	// predictors predict and train on. Predictors whose history streams
-	// ignore everything else (BTB, Dual-path, Cascade) walk only this
-	// lane.
+	// predictors predict and train on, and the MT history stream
+	// (history.Stream.Lane). BTB, BTB2b and CBT, which keep no history,
+	// walk only this lane, as do the families that record the MT stream:
+	// Dual-path, Cascade, Cascade-u and ITTAGE as shipped.
 	MTIdx []int32
 	// PIBIdx lists, in stream order, the positions of all indirect
-	// jmp/jsr records (Record.PIBStream), a superset of MTIdx — the
-	// stream PIB path history registers record (GAp, TC-PIB).
+	// jmp/jsr records (Record.PIBStream), a superset of MTIdx — the PIB
+	// history stream, which GAp and TC-PIB record and walk.
 	PIBIdx []int32
 	// GapSum is the sum of the Gap lane, precomputed so the engine can
 	// account reconstructed instruction counts in O(1) per block.

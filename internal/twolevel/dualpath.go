@@ -34,10 +34,15 @@ type DualPath struct {
 	}
 }
 
-// NewDualPath builds a Dual-path hybrid. Panics on invalid configuration.
+// NewDualPath builds a Dual-path hybrid. Panics if the configuration is
+// invalid (see NewGAp for the components), or if the two components record
+// different history streams.
 func NewDualPath(cfg DualPathConfig) *DualPath {
 	if cfg.Selectors <= 0 || cfg.Selectors&(cfg.Selectors-1) != 0 {
 		panic(fmt.Sprintf("twolevel: selector count must be a positive power of two, got %d", cfg.Selectors))
+	}
+	if cfg.Short.HistoryStream != cfg.Long.HistoryStream {
+		panic(fmt.Sprintf("twolevel: dual-path components record different streams (%v, %v)", cfg.Short.HistoryStream, cfg.Long.HistoryStream))
 	}
 	sel := make([]uint8, cfg.Selectors)
 	for i := range sel {
@@ -130,52 +135,34 @@ func (d *DualPath) Observe(r trace.Record) {
 	d.long.Observe(r)
 }
 
-// MTOnly reports whether both components record only the MT-indirect
-// stream — i.e. Observe is a no-op for every record outside the block's
-// MTIdx lane. True for the paper's Dpath and Cascade configurations.
-func (d *DualPath) MTOnly() bool {
-	return d.short.hist.Stream() == history.MTIndirectBranches &&
-		d.long.hist.Stream() == history.MTIndirectBranches
-}
-
-// PushMT shifts a resolved target into both components' history registers:
-// the Observe step for a record already known to be in the MT-indirect
-// stream. Callers (the batch paths here and in package cascade) must have
-// checked MTOnly.
+// Push shifts a resolved target into both components' history registers:
+// the Observe step for a record on the components' stream, which the block
+// paths here and in package cascade know from walking that stream's lane.
 //
 //ppm:hotpath per-record history-register shift
-func (d *DualPath) PushMT(target uint64) {
+func (d *DualPath) Push(target uint64) {
 	d.short.hist.Push(target)
 	d.long.hist.Push(target)
 }
 
-// ProcessBlock implements the engine's batch fast path. With both
-// components on the MT-indirect stream the entire predictor — lookup,
-// training, selector and history — is driven by the MTIdx lane alone;
-// exotic configurations replay record-exactly.
+// ProcessBlock implements the engine's batch fast path. Both components
+// record the same stream (NewDualPath checks), so the entire predictor —
+// lookup, training, selector and history — is driven by that stream's
+// index lane alone.
 //
-//ppm:hotpath whole-block Dual-path replay over the MT index lane
+//ppm:hotpath whole-block Dual-path replay over its stream's index lane
 func (d *DualPath) ProcessBlock(b *trace.Block, c *stats.Counters) {
-	if !d.MTOnly() {
-		for i := 0; i < b.Len(); i++ {
-			r := b.Record(i)
-			if r.MTIndirect() {
-				target, ok := d.Predict(r.PC)
-				c.Record(ok && target == r.Target, ok)
-				d.Update(r.PC, r.Target)
-			}
-			d.Observe(r)
+	pcs, tgts, metas := b.PC, b.Target, b.Meta
+	for _, k := range d.short.hist.Stream().Lane(b) {
+		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
+		//lint:idxsafe lane entries index the block's lanes by construction
+		if metas[k]&trace.MetaMT != 0 {
+			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
+			target, ok := d.Predict(pc)
+			c.Record(ok && target == tgt, ok)
+			d.Update(pc, tgt)
 		}
-		return
-	}
-	pcs, tgts := b.PC, b.Target
-	for _, k := range b.MTIdx {
-		pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
-		tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
-		target, ok := d.Predict(pc)
-		c.Record(ok && target == tgt, ok)
-		d.Update(pc, tgt)
-		d.PushMT(tgt)
+		d.Push(tgt)
 	}
 }
 

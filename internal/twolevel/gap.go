@@ -41,6 +41,8 @@ type GApConfig struct {
 	// register; BitsPerTarget how many low-order bits of each.
 	PathLength    int
 	BitsPerTarget uint
+	// HistoryStream is the stream the register records: PIB or MT, the
+	// streams with a block index lane.
 	HistoryStream history.Stream
 	Indexing      Indexing
 	// HistoryBits optionally widens the shift register beyond
@@ -83,6 +85,9 @@ func (c GApConfig) validate() error {
 	if c.Useful && c.UsefulResetPeriod == 0 {
 		return fmt.Errorf("twolevel: useful mode needs a positive reset period")
 	}
+	if !c.HistoryStream.HasLane() {
+		return fmt.Errorf("twolevel: history stream %v has no block index lane", c.HistoryStream)
+	}
 	return nil
 }
 
@@ -100,8 +105,10 @@ type GAp struct {
 	}
 }
 
-// NewGAp builds a GAp component. It panics on invalid configuration, which
-// is always a programming error in this repository's fixed experiment set.
+// NewGAp builds a GAp component. Panics if the configuration is invalid,
+// including a history stream with no block index lane
+// (history.Stream.HasLane), which is always a programming error in this
+// repository's fixed experiment set.
 func NewGAp(cfg GApConfig) *GAp {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -192,47 +199,22 @@ func (g *GAp) Observe(r trace.Record) { g.hist.Observe(r) }
 
 // ProcessBlock implements the engine's batch fast path. A GAp's only
 // per-record work outside MT-indirect branches is its history register, so
-// when the configured stream matches one of the block's precomputed index
-// lanes the loop walks that lane and never visits the rest of the stream;
-// other streams take the record-exact loop.
+// the loop walks its stream's index lane and never visits the rest of the
+// block.
 //
-//ppm:hotpath whole-block GAp replay over the indirect index lanes
+//ppm:hotpath whole-block GAp replay over its stream's index lane
 func (g *GAp) ProcessBlock(b *trace.Block, c *stats.Counters) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
-	switch g.hist.Stream() {
-	case history.IndirectBranches:
-		for _, k := range b.PIBIdx {
-			tgt := tgts[k] //lint:idxsafe PIBIdx entries index the block's lanes by construction
-			//lint:idxsafe PIBIdx entries index the block's lanes by construction
-			if metas[k]&trace.MetaMT != 0 {
-				pc := pcs[k] //lint:idxsafe PIBIdx entries index the block's lanes by construction
-				target, ok := g.Predict(pc)
-				c.Record(ok && target == tgt, ok)
-				g.Update(pc, tgt)
-			}
-			g.hist.Push(tgt)
-		}
-	case history.MTIndirectBranches:
-		for _, k := range b.MTIdx {
-			pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
-			tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
+	for _, k := range g.hist.Stream().Lane(b) {
+		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
+		//lint:idxsafe lane entries index the block's lanes by construction
+		if metas[k]&trace.MetaMT != 0 {
+			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
 			target, ok := g.Predict(pc)
 			c.Record(ok && target == tgt, ok)
 			g.Update(pc, tgt)
-			g.hist.Push(tgt)
 		}
-	default:
-		// AllBranches / TakenBranches streams (no shipped configuration):
-		// replay record-exactly.
-		for i := 0; i < b.Len(); i++ {
-			r := b.Record(i)
-			if r.MTIndirect() {
-				target, ok := g.Predict(r.PC)
-				c.Record(ok && target == r.Target, ok)
-				g.Update(r.PC, r.Target)
-			}
-			g.hist.Observe(r)
-		}
+		g.hist.Push(tgt)
 	}
 }
 

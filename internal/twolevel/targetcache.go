@@ -20,6 +20,8 @@ type TargetCacheConfig struct {
 	Entries       int // power of two
 	HistoryBits   uint
 	BitsPerTarget uint
+	// HistoryStream is the stream the register records: PIB or MT, the
+	// streams with a block index lane.
 	HistoryStream history.Stream
 	// Tagged adds a branch-address tag to every entry (the tagged-variant
 	// study the paper lists as future work): lookups require a tag match,
@@ -42,13 +44,18 @@ type tcEntry struct {
 	target uint64
 }
 
-// NewTargetCache builds a Target Cache. Panics on invalid configuration.
+// NewTargetCache builds a Target Cache. Panics if the configuration is
+// invalid, including a history stream with no block index lane
+// (history.Stream.HasLane).
 func NewTargetCache(cfg TargetCacheConfig) *TargetCache {
 	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
 		panic(fmt.Sprintf("twolevel: target cache entries must be a positive power of two, got %d", cfg.Entries))
 	}
 	if cfg.BitsPerTarget == 0 {
 		panic("twolevel: target cache bits per target must be positive")
+	}
+	if !cfg.HistoryStream.HasLane() {
+		panic(fmt.Sprintf("twolevel: target cache history stream %v has no block index lane", cfg.HistoryStream))
 	}
 	depth := int((cfg.HistoryBits + cfg.BitsPerTarget - 1) / cfg.BitsPerTarget)
 	if depth < 1 {
@@ -105,44 +112,22 @@ func (t *TargetCache) Update(_, target uint64) {
 func (t *TargetCache) Observe(r trace.Record) { t.hist.Observe(r) }
 
 // ProcessBlock implements the engine's batch fast path; like GAp, the only
-// non-MT work is the history register, so the loop walks the index lane
-// matching the configured stream.
+// non-MT work is the history register, so the loop walks its stream's index
+// lane.
 //
-//ppm:hotpath whole-block Target Cache replay over the indirect index lanes
+//ppm:hotpath whole-block Target Cache replay over its stream's index lane
 func (t *TargetCache) ProcessBlock(b *trace.Block, c *stats.Counters) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
-	switch t.hist.Stream() {
-	case history.IndirectBranches:
-		for _, k := range b.PIBIdx {
-			tgt := tgts[k] //lint:idxsafe PIBIdx entries index the block's lanes by construction
-			//lint:idxsafe PIBIdx entries index the block's lanes by construction
-			if metas[k]&trace.MetaMT != 0 {
-				pc := pcs[k] //lint:idxsafe PIBIdx entries index the block's lanes by construction
-				target, ok := t.Predict(pc)
-				c.Record(ok && target == tgt, ok)
-				t.Update(pc, tgt)
-			}
-			t.hist.Push(tgt)
-		}
-	case history.MTIndirectBranches:
-		for _, k := range b.MTIdx {
-			pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
-			tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
+	for _, k := range t.hist.Stream().Lane(b) {
+		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
+		//lint:idxsafe lane entries index the block's lanes by construction
+		if metas[k]&trace.MetaMT != 0 {
+			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
 			target, ok := t.Predict(pc)
 			c.Record(ok && target == tgt, ok)
 			t.Update(pc, tgt)
-			t.hist.Push(tgt)
 		}
-	default:
-		for i := 0; i < b.Len(); i++ {
-			r := b.Record(i)
-			if r.MTIndirect() {
-				target, ok := t.Predict(r.PC)
-				c.Record(ok && target == r.Target, ok)
-				t.Update(r.PC, r.Target)
-			}
-			t.hist.Observe(r)
-		}
+		t.hist.Push(tgt)
 	}
 }
 
