@@ -12,6 +12,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bench"
 	"repro/internal/predictor"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -27,41 +28,38 @@ func main() {
 		os.Exit(1)
 	}
 	cfg.Events = *events
-	var recs []trace.Record
+	bb := trace.NewBlockBuilder(trace.BlockCap)
 	prof := analysis.NewProfiler()
 	sum := cfg.Generate(func(r trace.Record) {
-		recs = append(recs, r)
+		bb.Append(r)
 		prof.Observe(r)
 	})
 
+	// One engine replays the run through every family; each block's
+	// prediction lanes are tallied by the site population of the dispatch.
 	names := bench.PredictorNames()
-	perLabel := map[string]map[string]*stats.Counters{}
 	preds := make([]predictor.IndirectPredictor, 0, len(names))
 	for _, n := range names {
 		p, _ := bench.NewPredictor(n)
 		preds = append(preds, p)
 	}
-	for _, r := range recs {
-		if r.MTIndirect() {
-			label := sum.SiteByPC[r.PC]
-			for i, p := range preds {
-				t, ok := p.Predict(r.PC)
-				m := perLabel[label]
-				if m == nil {
-					m = map[string]*stats.Counters{}
-					perLabel[label] = m
+	eng := sim.New(preds...)
+	perLabel := map[string][]stats.Counters{}
+	blks := bb.Blocks()
+	for k := range blks {
+		b := &blks[k]
+		eng.ProcessBlock(b)
+		for i := range names {
+			for j, p := range eng.Predictions(i) {
+				pos := b.MTIdx[j]
+				label := sum.SiteByPC[b.PC[pos]]
+				cs := perLabel[label]
+				if cs == nil {
+					cs = make([]stats.Counters, len(names))
+					perLabel[label] = cs
 				}
-				c := m[names[i]]
-				if c == nil {
-					c = &stats.Counters{Predictor: names[i]}
-					m[names[i]] = c
-				}
-				c.Record(ok && t == r.Target, ok)
-				p.Update(r.PC, r.Target)
+				cs[i].Record(p.Predicted && p.Target == b.Target[pos], p.Predicted)
 			}
-		}
-		for _, p := range preds {
-			p.Observe(r)
 		}
 	}
 	var labels []string
@@ -78,10 +76,10 @@ func main() {
 	}
 	fmt.Println()
 	for _, l := range labels {
-		m := perLabel[l]
-		fmt.Printf("%-18s %10d", l, m[names[0]].Lookups)
-		for _, n := range names {
-			fmt.Printf(" %8.2f", 100*m[n].MispredictionRatio())
+		cs := perLabel[l]
+		fmt.Printf("%-18s %10d", l, cs[0].Lookups)
+		for i := range names {
+			fmt.Printf(" %8.2f", 100*cs[i].MispredictionRatio())
 		}
 		fmt.Println()
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -98,18 +97,19 @@ func (b *BTB) Observe(trace.Record) {}
 
 // ProcessBlock implements the engine's batch fast path. A BTB holds no
 // path history, so only the block's multi-target indirect records exist
-// for it: the loop walks the precomputed MTIdx lane and skips the
-// conditional-branch fabric entirely.
+// for it: the loop walks the precomputed MTIdx lane, writing the j-th
+// dispatch's prediction to preds[j], and skips the conditional-branch
+// fabric entirely.
 //
 //ppm:hotpath whole-block BTB replay over the MT index lane
-func (b *BTB) ProcessBlock(blk *trace.Block, c *stats.Counters) {
+func (b *BTB) ProcessBlock(blk *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts := blk.PC, blk.Target
-	for _, k := range blk.MTIdx {
-		pc := pcs[k]   //lint:idxsafe MTIdx entries index the block's lanes by construction
-		tgt := tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
+	mt := blk.MTIdx[:len(preds)]
+	for j, k := range mt {
+		pc := pcs[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 		target, ok := b.Predict(pc)
-		c.Record(ok && target == tgt, ok)
-		b.Update(pc, tgt)
+		preds[j] = predictor.Prediction{Target: target, Predicted: ok}
+		b.Update(pc, tgts[k]) //lint:idxsafe MTIdx entries index the block's lanes by construction
 	}
 }
 

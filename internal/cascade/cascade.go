@@ -18,7 +18,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/history"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/twolevel"
 )
@@ -184,15 +183,17 @@ func (c *Cascade) Observe(r trace.Record) { c.main.Observe(r) }
 // index lane.
 //
 //ppm:hotpath whole-block Cascade replay over its stream's index lane
-func (c *Cascade) ProcessBlock(b *trace.Block, ctr *stats.Counters) {
+func (c *Cascade) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
+	j := 0
 	for _, k := range c.cfg.Main.Short.HistoryStream.Lane(b) {
 		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
 		//lint:idxsafe lane entries index the block's lanes by construction
 		if metas[k]&trace.MetaMT != 0 {
 			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
 			target, ok := c.Predict(pc)
-			ctr.Record(ok && target == tgt, ok)
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			j++
 			c.Update(pc, tgt)
 		}
 		c.main.Push(tgt)

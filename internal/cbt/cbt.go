@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/hashing"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -150,23 +149,25 @@ func (c *CBT) Observe(trace.Record) {}
 
 // ProcessBlock implements the engine's batch fast path. With Observe a
 // no-op, only the multi-target indirect positions matter: the MTIdx lane
-// jumps straight to them and the Value lane supplies the switch value the
-// engine's per-record SetValue forward would have carried (a nil lane means
-// no record in the block carried a value).
+// jumps straight to them, writing the j-th dispatch's prediction to
+// preds[j], and the Value lane supplies the switch value the engine's
+// per-record SetValue forward would have carried (a nil lane means no
+// record in the block carried a value).
 //
 //ppm:hotpath whole-block CBT replay
-func (c *CBT) ProcessBlock(b *trace.Block, ctr *stats.Counters) {
+func (c *CBT) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, vals := b.PC, b.Target, b.Value
-	for _, k := range b.MTIdx {
+	mt := b.MTIdx[:len(preds)]
+	for j, k := range mt {
 		if vals != nil {
 			c.SetValue(vals[k]) //lint:idxsafe MTIdx entries index the block's lanes by construction
 		} else {
 			c.SetValue(0)
 		}
-		pc, tgt := pcs[k], tgts[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
+		pc := pcs[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
 		target, ok := c.Predict(pc)
-		ctr.Record(ok && target == tgt, ok)
-		c.Update(pc, tgt)
+		preds[j] = predictor.Prediction{Target: target, Predicted: ok}
+		c.Update(pc, tgts[k]) //lint:idxsafe MTIdx entries index the block's lanes by construction
 	}
 }
 

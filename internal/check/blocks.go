@@ -23,9 +23,10 @@ import (
 // the same standard as every other wrapper: the columnar form, the index
 // lanes, the per-predictor batch fast paths and the whole-block-per-
 // predictor reordering may change wall-clock time only, never a single
-// counter. Every comparison below replays identical inputs through
-// sim.Engine.ProcessAll and sim.Engine.ProcessBlocks and requires the
-// outcomes to agree exactly.
+// counter or prediction. Every comparison below replays identical inputs
+// through the record engine and sim.Engine.ProcessBlock and requires the
+// outcomes — counters, RAS and each predictor's prediction at every
+// dispatch — to agree exactly.
 
 // blockDiffCaps are the block capacities the differential replays exercise:
 // the shipped capacity, plus a deliberately tiny odd one so short (and
@@ -73,16 +74,74 @@ func enginesMatch(rec, blk *sim.Engine) error {
 	return nil
 }
 
+// recordEngine is the reference side of a blocks-vs-records comparison:
+// recs replayed record at a time through one engine over a set built by
+// build, and each predictor's prediction at every MT dispatch, from an
+// engine of its own whose ProcessPredicted reports it.
+func recordEngine(recs []trace.Record, build func() []predictor.IndirectPredictor) (*sim.Engine, [][]predictor.Prediction) {
+	eng := sim.New(build()...)
+	eng.ProcessAll(recs)
+	preds := make([][]predictor.Prediction, len(eng.Counters()))
+	for i := range preds {
+		solo := sim.New(build()[i])
+		for _, r := range recs {
+			if p, dispatched := solo.ProcessPredicted(r); dispatched {
+				preds[i] = append(preds[i], predictor.Prediction{Target: p.Target, Predicted: p.Predicted})
+			}
+		}
+	}
+	return eng, preds
+}
+
+// blockEngineMatches replays recs through the block engine in blocks of
+// bcap records over a set built by build, concatenating each predictor's
+// prediction lane block by block, and compares the engine with rec and the
+// lanes with want.
+func blockEngineMatches(recs []trace.Record, build func() []predictor.IndirectPredictor, bcap int, rec *sim.Engine, want [][]predictor.Prediction) error {
+	blk := sim.New(build()...)
+	got := make([][]predictor.Prediction, len(want))
+	blks := trace.BlocksSized(recs, bcap)
+	for k := range blks {
+		blk.ProcessBlock(&blks[k])
+		for i := range got {
+			got[i] = append(got[i], blk.Predictions(i)...)
+		}
+	}
+	if err := enginesMatch(rec, blk); err != nil {
+		return err
+	}
+	for i := range want {
+		if err := lanesMatch(want[i], got[i]); err != nil {
+			return fmt.Errorf("predictor %s: %w", blk.Counters()[i].Predictor, err)
+		}
+	}
+	return nil
+}
+
+// lanesMatch compares one predictor's per-dispatch predictions from the
+// record engine with its block prediction lanes. A target counts only when
+// it was predicted.
+func lanesMatch(rec, blk []predictor.Prediction) error {
+	if len(rec) != len(blk) {
+		return fmt.Errorf("%d record-engine dispatches vs %d lane entries", len(rec), len(blk))
+	}
+	for j, r := range rec {
+		b := blk[j]
+		if r.Predicted != b.Predicted || r.Predicted && r.Target != b.Target {
+			return fmt.Errorf("dispatch %d: record %+v vs lane %+v", j, r, b)
+		}
+	}
+	return nil
+}
+
 // BlockEngineIdentity replays recs through a predictor set built by build,
 // once record-at-a-time and once through the block engine at every
-// blockDiffCaps capacity, and returns the first disagreement.
+// blockDiffCaps capacity, and returns the first disagreement in the
+// engines' observables or in any predictor's prediction lane.
 func BlockEngineIdentity(recs []trace.Record, build func() []predictor.IndirectPredictor) error {
-	rec := sim.New(build()...)
-	rec.ProcessAll(recs)
+	rec, want := recordEngine(recs, build)
 	for _, bcap := range blockDiffCaps {
-		blk := sim.New(build()...)
-		blk.ProcessBlocks(trace.BlocksSized(recs, bcap))
-		if err := enginesMatch(rec, blk); err != nil {
+		if err := blockEngineMatches(recs, build, bcap, rec, want); err != nil {
 			return fmt.Errorf("block engine (cap %d): %w", bcap, err)
 		}
 	}
@@ -90,20 +149,20 @@ func BlockEngineIdentity(recs []trace.Record, build func() []predictor.IndirectP
 }
 
 // DiffBlocks replays recs through a single predictor family under both
-// engines and returns the first divergence, or nil if they agreed at every
-// block capacity. An unknown label is an error.
+// engines and returns the first divergence, in the observables or the
+// prediction lane, or nil if they agreed at every block capacity. An
+// unknown label is an error.
 func DiffBlocks(family string, recs []trace.Record) (*BlockDivergence, error) {
+	if _, ok := bench.NewPredictor(family); !ok {
+		return nil, fmt.Errorf("check: unknown predictor family %q", family)
+	}
+	build := func() []predictor.IndirectPredictor {
+		p, _ := bench.NewPredictor(family)
+		return []predictor.IndirectPredictor{p}
+	}
+	rec, want := recordEngine(recs, build)
 	for _, bcap := range blockDiffCaps {
-		p1, ok := bench.NewPredictor(family)
-		if !ok {
-			return nil, fmt.Errorf("check: unknown predictor family %q", family)
-		}
-		p2, _ := bench.NewPredictor(family)
-		rec := sim.New(p1)
-		rec.ProcessAll(recs)
-		blk := sim.New(p2)
-		blk.ProcessBlocks(trace.BlocksSized(recs, bcap))
-		if err := enginesMatch(rec, blk); err != nil {
+		if err := blockEngineMatches(recs, build, bcap, rec, want); err != nil {
 			return &BlockDivergence{Family: family, BlockCap: bcap, Detail: err.Error()}, nil
 		}
 	}

@@ -5,19 +5,51 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/ittage"
+	"repro/internal/trace"
 	"repro/internal/twolevel"
 )
 
 // TestStreamVariantBlockIdentity replays the stream-variant line-up through
 // the record and block engines over several random traces: each family's
 // block path must walk the lane of the stream it is built on, not the one
-// it ships with.
+// it ships with. That is only visible on a trace whose PIB lane holds
+// records its MT lane does not (single-target indirect branches), and
+// RandomTrace seeds 41 and 45 have none at this size; the raw adversarial
+// streams, MT on about 70% of records, add traces that have plenty. The
+// test asserts enough traces separate the lanes, so a generator change
+// cannot quietly blind it.
 func TestStreamVariantBlockIdentity(t *testing.T) {
+	const minSeparating = 10
+	separating := 0
 	for seed := uint64(41); seed < 47; seed++ {
-		if err := BlockEngineIdentity(RandomTrace(seed, metaEvents), StreamVariantPredictors); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
+		traces := map[string][]trace.Record{
+			"workload": RandomTrace(seed, metaEvents),
+			"raw":      RandomRecords(seed, metaEvents),
+		}
+		for kind, recs := range traces {
+			if separatesLanes(recs) {
+				separating++
+			}
+			if err := BlockEngineIdentity(recs, StreamVariantPredictors); err != nil {
+				t.Errorf("%s seed %d: %v", kind, seed, err)
+			}
 		}
 	}
+	if separating < minSeparating {
+		t.Errorf("%d traces hold single-target indirect records, want at least %d: the PIB and MT lanes coincide on the rest",
+			separating, minSeparating)
+	}
+}
+
+// separatesLanes reports whether recs, in blocks, has more PIB-lane than
+// MT-lane entries, so a block path walking the wrong one of the two shows.
+func separatesLanes(recs []trace.Record) bool {
+	pib, mt := 0, 0
+	for _, b := range trace.Blocks(recs) {
+		pib += len(b.PIBIdx)
+		mt += len(b.MTIdx)
+	}
+	return pib > mt
 }
 
 // TestLanelessStreamsPanic: the families whose block paths walk an index

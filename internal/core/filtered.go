@@ -6,7 +6,6 @@ import (
 	"repro/internal/counter"
 	"repro/internal/hashing"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -141,12 +140,13 @@ func (f *FilteredPPM) Observe(r trace.Record) { f.ppm.Observe(r) }
 // one BIU probe per indirect record included.
 //
 //ppm:hotpath whole-block filtered-PPM replay
-func (f *FilteredPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
+func (f *FilteredPPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	p := f.ppm
 	hyb := p.cfg.Mode != PIBOnly
 	metas := b.Meta
 	pcs := b.PC[:len(metas)]
 	tgts := b.Target[:len(metas)]
+	j := 0
 	for i, m := range metas {
 		tgt := tgts[i]
 		cls := trace.Class(m & trace.MetaClassMask)
@@ -154,7 +154,8 @@ func (f *FilteredPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		if pib && m&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := f.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			j++
 			f.Update(pc, tgt)
 			if hyb {
 				p.pending.sel.MT = true

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -223,11 +222,12 @@ func (m *MultiPPM) Observe(r trace.Record) { m.inner.Observe(r) }
 // predictor is PIB-only, so no record touches the BIU.
 //
 //ppm:hotpath whole-block multi-target PPM replay
-func (m *MultiPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
+func (m *MultiPPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	p := m.inner
 	metas := b.Meta
 	pcs := b.PC[:len(metas)]
 	tgts := b.Target[:len(metas)]
+	j := 0
 	for i, mb := range metas {
 		tgt := tgts[i]
 		cls := trace.Class(mb & trace.MetaClassMask)
@@ -235,7 +235,8 @@ func (m *MultiPPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		if pib && mb&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := m.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			j++
 			m.Update(pc, tgt)
 		}
 		p.pb.Push(tgt)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/history"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -339,11 +338,12 @@ func (p *PPM) Observe(r trace.Record) {
 // loop's.
 //
 //ppm:hotpath whole-block PPM replay
-func (p *PPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
+func (p *PPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	hyb := p.cfg.Mode != PIBOnly
 	metas := b.Meta
 	pcs := b.PC[:len(metas)]
 	tgts := b.Target[:len(metas)]
+	j := 0
 	for i, m := range metas {
 		tgt := tgts[i]
 		cls := trace.Class(m & trace.MetaClassMask)
@@ -351,7 +351,8 @@ func (p *PPM) ProcessBlock(b *trace.Block, c *stats.Counters) {
 		if pib && m&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := p.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			j++
 			p.Update(pc, tgt)
 			if hyb {
 				p.pending.sel.MT = true

@@ -24,7 +24,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/history"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -441,15 +440,17 @@ func (p *ITTAGE) push(target uint64) {
 // of the configured stream.
 //
 //ppm:hotpath whole-block ITTAGE replay over its stream's index lane
-func (p *ITTAGE) ProcessBlock(b *trace.Block, c *stats.Counters) {
+func (p *ITTAGE) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
+	j := 0
 	for _, k := range p.hist.Stream().Lane(b) {
 		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
 		//lint:idxsafe lane entries index the block's lanes by construction
 		if metas[k]&trace.MetaMT != 0 {
 			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
 			target, ok := p.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			j++
 			p.Update(pc, tgt)
 		}
 		p.push(tgt)

@@ -33,6 +33,15 @@ type IndirectPredictor interface {
 	Observe(r trace.Record)
 }
 
+// Prediction is one predictor's answer at one multi-target indirect
+// dispatch: the target Predict returned and whether it ventured one. The
+// block engine's prediction lane holds one per dispatch of a block, in
+// trace.Block.MTIdx order.
+type Prediction struct {
+	Target    uint64 // predicted target; meaningful only when Predicted
+	Predicted bool   // Predict returned ok
+}
+
 // Resetter is implemented by predictors that can return to power-up state.
 type Resetter interface{ Reset() }
 

@@ -10,8 +10,10 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/bench"
+	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/state"
 	"repro/internal/trace"
@@ -26,11 +28,17 @@ import (
 // serialized predictor size (state.SizeOf) plus a fixed overhead, and the
 // longest-idle sessions are evicted when the budget or the table fills.
 
+// sessionBlockCap is the record capacity of the pooled block a predict
+// request decodes its body into, and so the bound on a session engine's
+// prediction lane: one predictor.Prediction per record of a block.
+const sessionBlockCap = 512
+
 // sessionOverheadBytes is the fixed per-session charge on top of the
-// serialized predictor state: the session struct, table slot, engine and
-// counter scaffolding. A coarse constant — the serialized state dominates
-// for any trained predictor.
-const sessionOverheadBytes = 2048
+// serialized predictor state: 2 KiB for the session struct, table slot,
+// engine and counter scaffolding — a coarse figure, the serialized state
+// dominates for any trained predictor — plus the engine's prediction lane
+// at its bound, which it keeps between requests.
+const sessionOverheadBytes = 2048 + sessionBlockCap*int64(unsafe.Sizeof(predictor.Prediction{}))
 
 // SessionSpec is the JSON body of POST /v1/sessions. An empty body selects
 // the default predictor.
@@ -312,9 +320,13 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 // decode, so a truncated upload keeps the prefix's training — exactly what
 // an online learner does with a dropped connection.
 //
-// The body decodes through a pooled trace.Reader, and pred lines are
-// appended into a pooled buffer that reaches the ResponseWriter every
-// predFlushBytes, so a warm request's work is its simulation.
+// The body decodes block by block, through a pooled trace.Reader into a
+// pooled block; the engine replays each block and its prediction lane
+// becomes the block's pred lines, appended into a pooled buffer that
+// reaches the ResponseWriter every predFlushBytes. ReadBlock hands back
+// what the window holds rather than wait for a full block, so predictions
+// keep flowing while the body uploads, and a warm request's work is its
+// simulation.
 func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookupSession(r.PathValue("id"))
 	if !ok {
@@ -350,18 +362,27 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 		*lines = out[:0]
 		predLines.Put(lines)
 	}()
+	blk := sessionBlocks.Get().(*trace.Block)
+	defer sessionBlocks.Put(blk)
 	// Every decoded record has trained the session, whichever way the
 	// request ends.
 	defer func() { s.met.predictRecs.Add(tr.Count()) }()
 	t0 := now()
-	const checkEvery = 4096
-	for n := 0; ; n++ {
-		if n%checkEvery == 0 && r.Context().Err() != nil {
+	for {
+		if r.Context().Err() != nil {
 			return // client gone; the prefix has already trained the session
 		}
-		rec, err := tr.Read()
+		err := tr.ReadBlock(blk)
 		if err == io.EOF {
 			break
+		}
+		// On a decode error blk holds the records before it, which train
+		// the session and get their pred lines like any others.
+		seq := sess.eng.Counters()[0].Lookups
+		sess.eng.ProcessBlock(blk)
+		var werr error
+		if out, werr = appendPreds(w, out, blk, sess.eng.Predictions(0), seq); werr != nil {
+			return // client went away
 		}
 		if err != nil {
 			// Headers are long gone; surface the failure as a typed line.
@@ -370,25 +391,6 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 				writeJSON(w, PredictEvent{Type: "error", Error: err.Error()})
 			}
 			return
-		}
-		p, dispatched := sess.eng.ProcessPredicted(rec)
-		if !dispatched {
-			continue
-		}
-		ev := PredictEvent{
-			Type: "pred", Seq: sess.eng.Counters()[0].Lookups,
-			PC: rec.PC, Actual: rec.Target,
-			Predicted: p.Predicted, Correct: p.Correct,
-		}
-		if p.Predicted {
-			ev.Target = p.Target
-		}
-		out = appendPredLine(out, &ev)
-		if len(out) >= predFlushBytes {
-			if _, err := w.Write(out); err != nil {
-				return // client went away
-			}
-			out = out[:0]
 		}
 	}
 	if _, err := w.Write(out); err != nil {
@@ -399,6 +401,39 @@ func (s *Server) handleSessionPredict(w http.ResponseWriter, r *http.Request) {
 	sizeBytes = sessionOverheadBytes + int64(state.SizeOf(sess.eng))
 	st := sess.liveStatus(sizeBytes)
 	writeJSON(w, PredictEvent{Type: "done", Session: &st})
+}
+
+// sessionBlocks recycles the blocks predict requests decode into.
+var sessionBlocks = sync.Pool{New: func() any {
+	b := trace.NewBlock(sessionBlockCap)
+	return &b
+}}
+
+// appendPreds appends the pred line of each MT dispatch of b to out, from
+// the prediction lane preds of the engine that replayed b; seq is the
+// session's lookup count before b. Whenever out reaches predFlushBytes it
+// is written to w and emptied. It returns out and the first write error.
+func appendPreds(w io.Writer, out []byte, b *trace.Block, preds []predictor.Prediction, seq uint64) ([]byte, error) {
+	pcs, tgts := b.PC, b.Target
+	for j, k := range b.MTIdx {
+		p := preds[j]
+		ev := PredictEvent{
+			Type: "pred", Seq: seq + uint64(j) + 1,
+			PC: pcs[k], Actual: tgts[k],
+			Predicted: p.Predicted, Correct: p.Predicted && p.Target == tgts[k],
+		}
+		if p.Predicted {
+			ev.Target = p.Target
+		}
+		out = appendPredLine(out, &ev)
+		if len(out) >= predFlushBytes {
+			if _, err := w.Write(out); err != nil {
+				return out, err
+			}
+			out = out[:0]
+		}
+	}
+	return out, nil
 }
 
 // predFlushBytes is how many bytes of pred lines a predict request holds

@@ -6,12 +6,20 @@
 // alongside to account for returns, which are excluded from the indirect
 // predictors' workload.
 //
+// The block engine (ProcessBlock, ProcessBlocks, ProcessReader) is the
+// production path: the experiment grid, trace uploads and live sessions
+// all run on it. Each predictor replays a whole columnar block before the
+// next and writes its prediction at every MT dispatch into a prediction
+// lane the engine owns per predictor (Predictions); the engine derives the
+// accuracy counters from that lane and the block's Target lane in one
+// pass. ProcessReader goes further, replaying a streamed trace through
+// each predictor on a goroutine of its own while the caller decodes into a
+// ring of RingSlots blocks. Process and ProcessPredicted are the
+// record-at-a-time reference the block engine is checked against.
+//
 // Predictors share no state with each other or with the RAS, and the
-// engine relies on it: ProcessBlock replays a whole block through one
-// predictor before the next, and ProcessReader goes further, replaying a
-// streamed trace through each predictor on a goroutine of its own while
-// the caller decodes into a ring of RingSlots blocks. Every front end
-// yields the same counters as the record-at-a-time Process loop. An
+// engine relies on it: every front end yields the same counters and the
+// same per-dispatch predictions as the record-at-a-time Process loop. An
 // engine itself is not safe for concurrent use, and one predictor instance
 // must not be attached twice (New panics).
 package sim
@@ -47,6 +55,10 @@ type lane struct {
 	bp BlockPredictor
 	// c is p's entry in the engine's counters.
 	c *stats.Counters
+	// preds is p's prediction lane under ProcessBlock: its prediction at
+	// each MT dispatch of the last block it replayed, in MTIdx order. Its
+	// capacity never exceeds the largest block's record capacity.
+	preds []predictor.Prediction
 }
 
 // New builds an engine over the given predictors. A 64-deep RAS is
@@ -88,7 +100,9 @@ type ValueAware interface {
 }
 
 // Prediction is the per-dispatch outcome ProcessPredicted reports for the
-// engine's first predictor.
+// engine's first predictor. The block engine's lane carries the narrower
+// predictor.Prediction, from which Correct follows by comparing Target
+// with the committed one.
 type Prediction struct {
 	Target    uint64 // predicted target; meaningful only when Predicted
 	Predicted bool   // the predictor ventured a prediction
@@ -97,21 +111,20 @@ type Prediction struct {
 
 // step is the paper's per-record protocol for one predictor, and the only
 // place it is written out: on an MT indirect dispatch, forward the switch
-// value, predict at the pre-update history, record the outcome into c and
-// train; then observe the record. It returns the prediction (zero when the
-// record is not a dispatch). Process, ProcessPredicted and the block
-// engine's fallback all drive predictors through it; predictors share no
-// state with each other or with the RAS, so stepping them one at a time is
-// the same as interleaving their phases.
+// value, predict at the pre-update history and train; then observe the
+// record. It returns the prediction (zero when the record is not a
+// dispatch) and records no counters. Process, ProcessPredicted and the
+// block engine's fallback all drive predictors through it; predictors
+// share no state with each other or with the RAS, so stepping them one at
+// a time is the same as interleaving their phases.
 //
 //ppm:hotpath per-record protocol step for one predictor
-func step(p predictor.IndirectPredictor, va ValueAware, c *stats.Counters, r trace.Record) (target uint64, ok bool) {
+func step(p predictor.IndirectPredictor, va ValueAware, r trace.Record) (target uint64, ok bool) {
 	if r.MTIndirect() {
 		if va != nil {
 			va.SetValue(r.Value)
 		}
 		target, ok = p.Predict(r.PC)
-		c.Record(ok && target == r.Target, ok)
 		p.Update(r.PC, r.Target)
 	}
 	p.Observe(r)
@@ -124,22 +137,30 @@ func (e *Engine) Process(r trace.Record) { e.ProcessPredicted(r) }
 // ProcessPredicted feeds one record to every predictor, like Process, and
 // also surfaces the first predictor's prediction outcome. dispatched is
 // false (and the outcome zero) when the record is not an MT indirect
-// dispatch, where no prediction is made. The live-session predict stream
-// uses it to stream each prediction back while state mutates exactly as the
-// batch engine would.
+// dispatch, where no prediction is made. It is the record-at-a-time
+// reference: the block engine's prediction lanes and counters are checked
+// against the outcomes it reports, and the state differential checks
+// replay through it.
 //
 //ppm:hotpath per-record engine step driving every predictor
 func (e *Engine) ProcessPredicted(r trace.Record) (p Prediction, dispatched bool) {
 	e.records++
 	e.instrs += uint64(r.Gap) + 1
 	e.ras.Process(r)
-	for i, l := range e.lanes {
-		target, ok := step(l.p, l.va, l.c, r)
+	dispatched = r.MTIndirect()
+	lanes := e.lanes
+	for i := range lanes {
+		l := &lanes[i]
+		target, ok := step(l.p, l.va, r)
+		correct := ok && target == r.Target
+		if dispatched {
+			l.c.Record(correct, ok)
+		}
 		if i == 0 {
-			p = Prediction{Target: target, Predicted: ok, Correct: ok && target == r.Target}
+			p = Prediction{Target: target, Predicted: ok, Correct: correct}
 		}
 	}
-	return p, r.MTIndirect()
+	return p, dispatched
 }
 
 // ProcessAll feeds a slice of records.
@@ -180,6 +201,7 @@ func (e *Engine) Reset() {
 			r.Reset()
 		}
 		e.counters[i] = stats.Counters{Predictor: l.p.Name()}
+		e.lanes[i].preds = e.lanes[i].preds[:0]
 	}
 	e.ras.Reset()
 	e.records, e.instrs = 0, 0

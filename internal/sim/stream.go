@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/predictor"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -69,14 +70,16 @@ func putRing(rg *ring) {
 }
 
 // follower is one predictor goroutine's state: the lane it replays, the
-// feed the decoder publishes slots on (a nil slot ends the stream) and
-// private counters, padded so that no two goroutines' counters share a
-// cache line.
+// feed the decoder publishes slots on (a nil slot ends the stream),
+// private counters and its own prediction lane, kept with the ring so a
+// warm stream grows none, padded so that no two goroutines' counters
+// share a cache line.
 type follower struct {
-	l    *lane
-	feed chan *slot
-	c    stats.Counters
-	_    [64]byte
+	l     *lane
+	feed  chan *slot
+	c     stats.Counters
+	preds []predictor.Prediction
+	_     [64]byte
 }
 
 // ProcessReader streams records from a trace.Reader until EOF. The calling
@@ -151,7 +154,7 @@ func (f *follower) follow(join *sync.WaitGroup) {
 		if s == nil {
 			break
 		}
-		f.l.replay(&s.b, &f.c)
+		f.l.replay(&s.b, &f.c, &f.preds)
 		s.held.Done()
 	}
 	join.Done()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/state"
 	"repro/internal/trace"
@@ -71,5 +72,47 @@ func TestSnapshotGolden(t *testing.T) {
 				t.Errorf("snapshot hash %s, want %s", got, want)
 			}
 		})
+	}
+}
+
+// TestSizeOfMatchesSave holds SizeOf's counting writer to Save: for every
+// snapshot-capable family, over the TestSnapshotGolden inputs, the count
+// equals the snapshot's length at every training point, and again in a
+// fresh engine loaded from the snapshot. Counting must not allocate.
+func TestSizeOfMatchesSave(t *testing.T) {
+	runs := bench.Sized(goldenEvents)
+	for name, build := range builders() {
+		t.Run(name, func(t *testing.T) {
+			for _, cfg := range runs {
+				recs, _ := cfg.Records()
+				recs = recs[:min(goldenPrefix, len(recs))]
+				eng := sim.New(build())
+				for off := 0; ; off += 250 {
+					if got, want := state.SizeOf(eng), len(state.SaveBytes(eng)); got != want {
+						t.Fatalf("%s after %d records: SizeOf = %d, len(Save) = %d", cfg, off, got, want)
+					}
+					if off >= len(recs) {
+						break
+					}
+					eng.ProcessBlocks(trace.Blocks(recs[off:min(off+250, len(recs))]))
+				}
+				snap := state.SaveBytes(eng)
+				loaded := sim.New(build())
+				if err := state.LoadBytes(loaded, snap); err != nil {
+					t.Fatalf("%s: load: %v", cfg, err)
+				}
+				if got := state.SizeOf(loaded); got != len(snap) {
+					t.Fatalf("%s: SizeOf after Load = %d, len(Save) = %d", cfg, got, len(snap))
+				}
+			}
+		})
+	}
+	if race.Enabled {
+		return // race instrumentation allocates
+	}
+	eng := sim.New(builders()["PPM-hyb"]())
+	state.SizeOf(eng)
+	if allocs := testing.AllocsPerRun(20, func() { state.SizeOf(eng) }); allocs != 0 {
+		t.Errorf("SizeOf allocates %.0f times per call, want 0", allocs)
 	}
 }

@@ -5,8 +5,7 @@ import "sync"
 // Pool recycles Writers (and their grown buffers) and Readers across
 // snapshot/restore cycles. Sessions in internal/serve snapshot through a
 // shared Pool so concurrent GET/PUT state traffic reuses backing arrays
-// instead of allocating a fresh buffer per request; SizeOf accounting runs
-// through one as well.
+// instead of allocating a fresh buffer per request.
 type Pool struct {
 	writers sync.Pool
 	readers sync.Pool

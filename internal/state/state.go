@@ -40,6 +40,7 @@ package state
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Version is the current snapshot format version, written after the magic.
@@ -163,14 +164,19 @@ func LoadBytes(s Snapshotter, data []byte) error {
 }
 
 // SizeOf returns the serialized size of s in bytes — the live-state cost a
-// session accounts against its memory budget. It snapshots into a pooled
-// scratch buffer, so steady-state calls do not allocate.
+// session accounts against its memory budget. It runs s's Snapshot through
+// a counting writer, which adds up what Save would write without writing
+// it or computing a CRC, so the count is exact and needs no buffer. The
+// counting writers are pooled, so steady-state calls do not allocate.
 func SizeOf(s Snapshotter) int {
-	w := sizingPool.Writer()
-	n := len(Save(s, w))
-	sizingPool.PutWriter(w)
+	w := counters.Get().(*Writer)
+	w.Reset()
+	w.n = len(magic) + 1
+	s.Snapshot(w)
+	n := w.n
+	counters.Put(w)
 	return n
 }
 
-// sizingPool backs SizeOf.
-var sizingPool = NewPool()
+// counters backs SizeOf.
+var counters = sync.Pool{New: func() any { return &Writer{lenAt: -1, counting: true} }}

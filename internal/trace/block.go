@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"io"
-	"unsafe"
-)
+import "unsafe"
 
 // Block is the struct-of-arrays form of a run of consecutive Records: one
 // parallel slice ("lane") per field, plus precomputed index lanes over the
@@ -252,26 +249,101 @@ func BlocksRecords(blks []Block) []Record {
 // ReadBlock refills b with the next run of records, up to the capacity of
 // b's lanes (a zero Block gets BlockCap-record lanes), reusing b's lane
 // storage (the Value lane included) so a streaming decode allocates
-// nothing per block once the lanes have grown. It returns io.EOF, with b
-// empty, once the stream is exhausted; a short final block comes back
-// with a nil error first. On any other error b holds the records decoded
-// before it.
+// nothing per block once the lanes have grown. The records decode
+// straight from the byte window into the lanes, through the same decoder
+// and checks as Read.
+//
+// ReadBlock does not wait for a full block. It reads the source only while
+// b is still empty, until the window holds a complete record, and then
+// returns as soon as the window holds no complete record: a source that
+// has delivered some records and then blocks yields them with no further
+// read, so a peer that streams a body while it reads the replies keeps
+// getting them. A block therefore comes back short wherever a source read
+// ends inside it, not only at the end of the stream.
+//
+// ReadBlock returns io.EOF, with b empty, once the stream is exhausted. On
+// any other error b holds the records decoded before it in this call; the
+// records of earlier calls are not repeated.
 func (r *Reader) ReadBlock(b *Block) error {
 	if cap(b.Meta) == 0 {
 		*b = NewBlock(BlockCap)
 	}
-	n := cap(b.Meta)
 	b.PC, b.Target, b.Meta, b.Gap = b.PC[:0], b.Target[:0], b.Meta[:0], b.Gap[:0]
 	b.Value, b.MTIdx, b.PIBIdx, b.GapSum = b.Value[:0], b.MTIdx[:0], b.PIBIdx[:0], 0
-	for b.Len() < n {
-		rec, err := r.Read()
-		if err == io.EOF && b.Len() > 0 {
-			return nil
-		}
-		if err != nil {
+	n := min(cap(b.PC), cap(b.Target), cap(b.Meta), cap(b.Gap))
+	for {
+		if err := r.decodeBlock(b, n); err != nil || b.Len() > 0 {
 			return err
 		}
-		b.append(rec)
+		// The window holds no complete record.
+		if r.err != nil {
+			return r.endErr()
+		}
+		r.fill()
 	}
-	return nil
 }
+
+// decodeBlock fills the empty block b from the window's complete records
+// until it holds n records or the window holds no complete record,
+// maintaining the derived lanes, and returns a corrupt record's error. n
+// must not exceed the capacity of b's PC, Target, Meta and Gap lanes.
+//
+//ppm:hotpath per-record decode loop under ReadBlock
+func (r *Reader) decodeBlock(b *Block, n int) error {
+	pcs, tgts, metas, gaps := b.PC[:n:n], b.Target[:n:n], b.Meta[:n:n], b.Gap[:n:n]
+	vals := b.Value
+	if vals != nil {
+		if cap(vals) < n {
+			vals = valueLane(n) //lint:coldpath only a block built with a shorter Value lane regrows it
+		}
+		vals = vals[:n:n]
+	}
+	mt, pib := b.MTIdx, b.PIBIdx
+	win := r.buf[r.r:r.w]
+	pos, prev, gapSum := 0, r.prevPC, uint64(0)
+	var rec wireRecord
+	var err error
+	i := 0
+	for ; i < len(metas); i++ {
+		k, derr := decodeRecord(&rec, win[pos:], prev)
+		if k == 0 {
+			err = derr
+			break
+		}
+		pos += k
+		prev = rec.pc
+		pcs[i], tgts[i], metas[i], gaps[i] = rec.pc, rec.target, rec.meta, rec.gap
+		gapSum += uint64(rec.gap)
+		if rec.value != 0 && vals == nil {
+			// First switch value in a block without a Value lane:
+			// materialize it, zero for the records decoded before.
+			vals = valueLane(n) //lint:coldpath a block's Value lane is materialized once, then reused
+		}
+		if vals != nil {
+			vals[i] = rec.value //lint:idxsafe a non-nil vals holds n records, and i < n
+		}
+		if cls := Class(rec.meta & MetaClassMask); cls == IndirectJmp || cls == IndirectJsr {
+			pib = append(pib, int32(i)) //lint:coldpath grows only until the lane reaches the block's indirect count
+			if rec.meta&MetaMT != 0 {
+				mt = append(mt, int32(i)) //lint:coldpath grows only until the lane reaches the block's dispatch count
+			}
+		}
+	}
+	r.r += pos
+	r.prevPC = prev
+	r.count += uint64(i)
+	b.PC, b.Target, b.Meta, b.Gap = pcs[:i], tgts[:i], metas[:i], gaps[:i]
+	if vals != nil {
+		b.Value = vals[:i]
+	}
+	b.MTIdx, b.PIBIdx = mt, pib
+	b.GapSum = gapSum
+	return err
+}
+
+// valueLane allocates a zeroed Value lane of n records, for a block whose
+// lane is missing or too short.
+//
+//ppm:coldpath the Value lane is allocated once per block, then reused
+//go:noinline
+func valueLane(n int) []uint32 { return make([]uint32, n) }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // blockRecords builds a stream long enough to span several small blocks,
@@ -323,5 +324,59 @@ func TestBlocksRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadBlockReturnsWithoutWaiting: over a pipe whose writer sends 100
+// records and then waits, ReadBlock hands back those 100 records without
+// reading the pipe again, so a caller answering a stream that is still
+// uploading never waits on records it already holds.
+func TestReadBlockReturnsWithoutWaiting(t *testing.T) {
+	recs := blockRecords(100)
+	data := encodeRecords(t, recs)
+	pr, pw := io.Pipe()
+	release := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := pw.Write(data)
+		wrote <- err
+		<-release
+		pw.Close()
+	}()
+	defer func() {
+		close(release)
+		if err := <-wrote; err != nil {
+			t.Errorf("pipe write: %v", err)
+		}
+	}()
+
+	got := make(chan []Record, 1)
+	errs := make(chan error, 1)
+	go func() {
+		rd, err := NewReader(pr)
+		if err != nil {
+			errs <- err
+			return
+		}
+		var b Block
+		var out []Record
+		for len(out) < len(recs) {
+			if err := rd.ReadBlock(&b); err != nil {
+				errs <- err
+				return
+			}
+			out = append(out, BlocksRecords([]Block{b})...)
+		}
+		got <- out
+	}()
+	select {
+	case out := <-got:
+		if !reflect.DeepEqual(out, recs) {
+			t.Error("ReadBlock over the pipe decoded different records")
+		}
+	case err := <-errs:
+		t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("ReadBlock waited on the writer for records the pipe had already delivered")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -185,10 +186,57 @@ func sameDecode(t *testing.T, label string, got, want decoded) {
 	}
 }
 
+// blockDecode drains src through rd.ReadBlock after a Reset, into one
+// block of capacity bcap reused throughout, checking every block it gets
+// back: at most bcap records, at least one unless the stream has ended or
+// failed, derived lanes that match the records, and Count in step.
+func blockDecode(t *testing.T, rd *Reader, src io.Reader, b *Block, bcap int) decoded {
+	t.Helper()
+	if err := rd.Reset(src); err != nil {
+		return decoded{err: err}
+	}
+	var d decoded
+	for {
+		err := rd.ReadBlock(b)
+		if cap(b.Meta) != bcap || b.Len() > bcap {
+			t.Fatalf("cap %d: block of %d records, lane capacity %d", bcap, b.Len(), cap(b.Meta))
+		}
+		if err == io.EOF && b.Len() > 0 || err == nil && b.Len() == 0 {
+			t.Fatalf("cap %d: %d records with error %v", bcap, b.Len(), err)
+		}
+		recs := BlocksRecords([]Block{*b})
+		if want := BlocksSized(recs, bcap); len(recs) > 0 && !sameDerivedLanes(b, &want[0]) {
+			t.Fatalf("cap %d: derived lanes %v %v %d, want %v %v %d", bcap,
+				b.MTIdx, b.PIBIdx, b.GapSum, want[0].MTIdx, want[0].PIBIdx, want[0].GapSum)
+		}
+		d.recs = append(d.recs, recs...)
+		if rd.Count() != uint64(len(d.recs)) {
+			t.Fatalf("cap %d: Count = %d after %d records", bcap, rd.Count(), len(d.recs))
+		}
+		if err != nil {
+			d.err = err
+			return d
+		}
+	}
+}
+
+// sameDerivedLanes reports whether two blocks over the same records agree
+// on the lanes derived from them.
+func sameDerivedLanes(a, b *Block) bool {
+	return slices.Equal(a.MTIdx, b.MTIdx) && slices.Equal(a.PIBIdx, b.PIBIdx) && a.GapSum == b.GapSum
+}
+
+// blockDecodeCaps are the block capacities FuzzReader drives ReadBlock at:
+// one record, a small odd count, and the capacity of a ProcessReader ring
+// slot (sim.SlotCap, BlockCap over its four slots).
+var blockDecodeCaps = []int{1, 7, BlockCap / 4}
+
 // FuzzReader checks the window decoder against the byte-at-a-time
 // reference on arbitrary bytes: the same records and the same error class,
-// whether the source hands over the whole stream or one byte per Read, and
-// whether the Reader is fresh or was Reset after a failed stream.
+// whether the source hands over the whole stream, half of each Read or one
+// byte per Read, whether the Reader is fresh or was Reset after a failed
+// stream, and whether the records come one at a time from Read or in
+// blocks of any capacity from ReadBlock.
 func FuzzReader(f *testing.F) {
 	valid := encodeRecords(f, sampleRecords())
 	f.Add(valid)
@@ -215,6 +263,20 @@ func FuzzReader(f *testing.F) {
 		// error; Reset must discard all of it.
 		windowDecode(t, &rd, bytes.NewReader(valid[:len(valid)-3]))
 		sameDecode(t, "Reset after truncation", windowDecode(t, &rd, bytes.NewReader(data)), want)
+		for _, bcap := range blockDecodeCaps {
+			b := NewBlock(bcap)
+			for _, src := range []struct {
+				name string
+				r    io.Reader
+			}{
+				{"whole stream", bytes.NewReader(data)},
+				{"half of each Read", iotest.HalfReader(bytes.NewReader(data))},
+				{"one byte per Read", iotest.OneByteReader(bytes.NewReader(data))},
+			} {
+				label := fmt.Sprintf("ReadBlock cap %d, %s", bcap, src.name)
+				sameDecode(t, label, blockDecode(t, &rd, src.r, &b, bcap), want)
+			}
+		}
 	})
 }
 

@@ -215,7 +215,7 @@ func (r *Reader) fill() {
 // an eleventh byte. A stream cut right after ten continuation bytes is
 // therefore truncated, not corrupt.
 //
-//ppm:hotpath per-field varint decode under Read
+//ppm:hotpath per-field varint decode under Read and ReadBlock
 func uvarint(b []byte) (v uint64, n int) {
 	for i, c := range b {
 		if i == binary.MaxVarintLen64 || i == binary.MaxVarintLen64-1 && c > 1 && c < 0x80 {
@@ -232,10 +232,34 @@ func uvarint(b []byte) (v uint64, n int) {
 // errVarintOverflow mirrors the stdlib's binary.ReadUvarint overflow error.
 var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-// decodeRecord decodes the record at the front of b into rec, given the
-// PC of its predecessor, and returns the bytes it took: 0 when b ends
-// inside the record. A corrupt record returns an error.
-func decodeRecord(rec *Record, b []byte, prevPC uint64) (n int, err error) {
+// wireRecord is one record as decodeRecord yields it: meta holds the flags
+// byte's class, taken and MT bits, which is the Block's Meta lane byte as
+// is, and the other fields their absolute values.
+type wireRecord struct {
+	meta       uint8
+	gap, value uint32
+	pc, target uint64
+}
+
+// record converts the decoded fields to a Record.
+func (w *wireRecord) record() Record {
+	return Record{
+		PC:     w.pc,
+		Target: w.target,
+		Class:  Class(w.meta & MetaClassMask),
+		Taken:  w.meta&MetaTaken != 0,
+		MT:     w.meta&MetaMT != 0,
+		Gap:    w.gap,
+		Value:  w.value,
+	}
+}
+
+// decodeRecord is the one decoder of the record format, under both Read
+// and ReadBlock: it decodes the record at the front of b into rec, given
+// the PC of its predecessor, and returns the bytes it took: 0 when b ends
+// inside the record. A corrupt record (an overflowing varint or an invalid
+// class) returns an error.
+func decodeRecord(rec *wireRecord, b []byte, prevPC uint64) (n int, err error) {
 	if len(b) == 0 {
 		return 0, nil
 	}
@@ -264,16 +288,22 @@ func decodeRecord(rec *Record, b []byte, prevPC uint64) (n int, err error) {
 		n += k
 	}
 	if !Class(flags & flagClassMask).Valid() {
-		return 0, fmt.Errorf("trace: corrupt record: invalid class %d", flags&flagClassMask)
+		return 0, classErr(flags) //lint:coldpath a corrupt record ends the stream
 	}
-	rec.PC = prevPC + uint64(unzigzag(pcd))
-	rec.Target = rec.PC + uint64(unzigzag(tgtd))
-	rec.Class = Class(flags & flagClassMask)
-	rec.Taken = flags&flagTaken != 0
-	rec.MT = flags&flagMT != 0
-	rec.Gap = uint32(gap)
-	rec.Value = uint32(val)
+	rec.meta = flags & (flagClassMask | flagTaken | flagMT)
+	rec.pc = prevPC + uint64(unzigzag(pcd))
+	rec.target = rec.pc + uint64(unzigzag(tgtd))
+	rec.gap = uint32(gap)
+	rec.value = uint32(val)
 	return n, nil
+}
+
+// classErr is decodeRecord's error for a flags byte naming no class.
+//
+//ppm:coldpath formats the error that ends a corrupt stream
+//go:noinline
+func classErr(flags byte) error {
+	return fmt.Errorf("trace: corrupt record: invalid class %d", flags&flagClassMask)
 }
 
 // varintErr maps a failed uvarint's length to decodeRecord's error: nil
@@ -290,14 +320,14 @@ func (r *Reader) Read() (Record, error) {
 	if r.w-r.r < maxRecordBytes {
 		r.fill()
 	}
-	var rec Record
+	var rec wireRecord
 	for {
 		n, err := decodeRecord(&rec, r.buf[r.r:r.w], r.prevPC)
 		if n > 0 {
 			r.r += n
-			r.prevPC = rec.PC
+			r.prevPC = rec.pc
 			r.count++
-			return rec, nil
+			return rec.record(), nil
 		}
 		if err != nil {
 			return Record{}, err

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -151,15 +150,17 @@ func (d *DualPath) Push(target uint64) {
 // index lane alone.
 //
 //ppm:hotpath whole-block Dual-path replay over its stream's index lane
-func (d *DualPath) ProcessBlock(b *trace.Block, c *stats.Counters) {
+func (d *DualPath) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
+	j := 0
 	for _, k := range d.short.hist.Stream().Lane(b) {
 		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
 		//lint:idxsafe lane entries index the block's lanes by construction
 		if metas[k]&trace.MetaMT != 0 {
 			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
 			target, ok := d.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			j++
 			d.Update(pc, tgt)
 		}
 		d.Push(tgt)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/history"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -203,15 +202,17 @@ func (g *GAp) Observe(r trace.Record) { g.hist.Observe(r) }
 // block.
 //
 //ppm:hotpath whole-block GAp replay over its stream's index lane
-func (g *GAp) ProcessBlock(b *trace.Block, c *stats.Counters) {
+func (g *GAp) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
+	j := 0
 	for _, k := range g.hist.Stream().Lane(b) {
 		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
 		//lint:idxsafe lane entries index the block's lanes by construction
 		if metas[k]&trace.MetaMT != 0 {
 			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
 			target, ok := g.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			j++
 			g.Update(pc, tgt)
 		}
 		g.hist.Push(tgt)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/history"
 	"repro/internal/predictor"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -116,15 +115,17 @@ func (t *TargetCache) Observe(r trace.Record) { t.hist.Observe(r) }
 // lane.
 //
 //ppm:hotpath whole-block Target Cache replay over its stream's index lane
-func (t *TargetCache) ProcessBlock(b *trace.Block, c *stats.Counters) {
+func (t *TargetCache) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
+	j := 0
 	for _, k := range t.hist.Stream().Lane(b) {
 		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
 		//lint:idxsafe lane entries index the block's lanes by construction
 		if metas[k]&trace.MetaMT != 0 {
 			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
 			target, ok := t.Predict(pc)
-			c.Record(ok && target == tgt, ok)
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			j++
 			t.Update(pc, tgt)
 		}
 		t.hist.Push(tgt)
