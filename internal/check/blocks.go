@@ -207,6 +207,18 @@ func BlocksVsRecords(suite []workload.Config, build func() []predictor.IndirectP
 	return nil
 }
 
+// BenchPredictors builds one predictor of every bench family, in
+// bench.PredictorNames order: the line-up BlockEngineIdentity holds to the
+// record engine beside ExtensionPredictors and StreamVariantPredictors.
+func BenchPredictors() []predictor.IndirectPredictor {
+	var ps []predictor.IndirectPredictor
+	for _, name := range bench.PredictorNames() {
+		p, _ := bench.NewPredictor(name)
+		ps = append(ps, p)
+	}
+	return ps
+}
+
 // ExtensionPredictors builds the predictor set of the extension experiments
 // that carry their own batch fast paths but sit outside the bench families:
 // the value-keyed CBT (ValueAware, so the Value lane is on the hook), the

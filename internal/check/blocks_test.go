@@ -5,9 +5,31 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/ittage"
+	"repro/internal/predictor"
 	"repro/internal/trace"
 	"repro/internal/twolevel"
 )
+
+// TestBlockEngineIdentity holds every bench family and the extension
+// line-up — CBT's Value lane and the oracle's record-at-a-time fallback
+// among them — to the record engine, counters and prediction lanes both,
+// over a workload trace and a raw adversarial stream.
+func TestBlockEngineIdentity(t *testing.T) {
+	traces := map[string][]trace.Record{
+		"workload": RandomTrace(24, metaEvents),
+		"raw":      RandomRecords(24, metaEvents),
+	}
+	for kind, recs := range traces {
+		for name, build := range map[string]func() []predictor.IndirectPredictor{
+			"bench":     BenchPredictors,
+			"extension": ExtensionPredictors,
+		} {
+			if err := BlockEngineIdentity(recs, build); err != nil {
+				t.Errorf("%s line-up, %s trace: %v", name, kind, err)
+			}
+		}
+	}
+}
 
 // TestStreamVariantBlockIdentity replays the stream-variant line-up through
 // the record and block engines over several random traces: each family's

@@ -182,7 +182,7 @@ func Metamorphic(seed uint64, events int) error {
 	if err := BlocksVsRecords(cfgs, build, 4); err != nil {
 		return err
 	}
-	if err := BlockEngineIdentity(RandomTrace(seed+2, events), build); err != nil {
+	if err := BlockEngineIdentity(RandomTrace(seed+2, events), BenchPredictors); err != nil {
 		return err
 	}
 	if err := BlockEngineIdentity(RandomTrace(seed+3, events), ExtensionPredictors); err != nil {
