@@ -182,14 +182,19 @@ func Metamorphic(seed uint64, events int) error {
 	if err := BlocksVsRecords(cfgs, build, 4); err != nil {
 		return err
 	}
-	if err := BlockEngineIdentity(RandomTrace(seed+2, events), BenchPredictors); err != nil {
-		return err
-	}
-	if err := BlockEngineIdentity(RandomTrace(seed+3, events), ExtensionPredictors); err != nil {
-		return err
-	}
-	if err := BlockEngineIdentity(RandomTrace(seed+5, events), StreamVariantPredictors); err != nil {
-		return err
+	// Each line-up replays a workload trace and a raw adversarial stream:
+	// a random workload can lack MT dispatches altogether (RandomTrace 4
+	// at 800 events has none), which would leave its prediction lanes
+	// empty and the identity vacuous.
+	for _, lu := range []struct {
+		seed  uint64
+		build func() []predictor.IndirectPredictor
+	}{{seed + 2, BenchPredictors}, {seed + 3, ExtensionPredictors}, {seed + 5, StreamVariantPredictors}} {
+		for _, recs := range [][]trace.Record{RandomTrace(lu.seed, events), RandomRecords(lu.seed, events)} {
+			if err := BlockEngineIdentity(recs, lu.build); err != nil {
+				return err
+			}
+		}
 	}
 	if err := StateIdentity(RandomTrace(seed+4, events)); err != nil {
 		return err
