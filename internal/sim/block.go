@@ -69,20 +69,20 @@ func (e *Engine) account(b *trace.Block) {
 // ProcessBlock and ProcessReader's predictor goroutines: the predictor's
 // batch fast path when it opts in via BlockPredictor, otherwise the
 // per-record step over records reassembled from the lanes (the oracle
-// stays there on purpose). Either writes the prediction lane *lane, which
+// stays there on purpose). Either writes the prediction lane *out, which
 // tally then folds into c. The lane is the caller's, so each goroutine
 // replaying a predictor writes its own.
-func (l *lane) replay(b *trace.Block, c *stats.Counters, lane *[]predictor.Prediction) {
+func (l *lane) replay(b *trace.Block, c *stats.Counters, out *[]predictor.Prediction) {
 	n := len(b.MTIdx)
-	if cap(*lane) < n {
-		grow(lane, n, cap(b.Meta)) //lint:coldpath the lane grows to its largest block's dispatch count, then is reused
+	if cap(*out) < n {
+		grow(out, n, cap(b.Meta)) //lint:coldpath the lane grows to its largest block's dispatch count, then is reused
 	}
-	preds := (*lane)[:n]
-	*lane = preds
+	preds := (*out)[:n]
+	*out = preds
 	if l.bp != nil {
 		l.bp.ProcessBlock(b, preds)
 	} else {
-		stepBlock(l, b, preds)
+		l.stepBlock(b, preds)
 	}
 	tally(c, preds, b)
 }
@@ -93,14 +93,14 @@ func (l *lane) replay(b *trace.Block, c *stats.Counters, lane *[]predictor.Predi
 //
 //ppm:coldpath lane growth, a few times per lane at most
 //go:noinline
-func grow(lane *[]predictor.Prediction, n, blockCap int) {
-	*lane = make([]predictor.Prediction, n, min(blockCap, max(n, 2*cap(*lane))))
+func grow(out *[]predictor.Prediction, n, blockCap int) {
+	*out = make([]predictor.Prediction, n, min(blockCap, max(n, 2*cap(*out))))
 }
 
 // stepBlock is the fallback replay for a predictor without a block path:
 // the per-record step over records reassembled from the block's lanes,
 // writing each dispatch's prediction to preds.
-func stepBlock(l *lane, b *trace.Block, preds []predictor.Prediction) {
+func (l *lane) stepBlock(b *trace.Block, preds []predictor.Prediction) {
 	j := 0
 	for k := 0; k < b.Len(); k++ {
 		r := b.Record(k)
