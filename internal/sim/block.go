@@ -136,8 +136,20 @@ func tally(c *stats.Counters, preds []predictor.Prediction, b *trace.Block) {
 	c.NoPrediction += abstained
 }
 
-// ProcessBlocks feeds a pre-decoded block sequence, block by block.
+// ProcessBlocks feeds a pre-decoded block sequence, block by block. Each
+// prediction lane is first sized to the sequence's largest dispatch
+// count, so a grid cell, which builds a fresh engine, allocates its lanes
+// once instead of regrowing them.
 func (e *Engine) ProcessBlocks(blks []trace.Block) {
+	n := 0
+	for i := range blks {
+		n = max(n, len(blks[i].MTIdx))
+	}
+	for i := range e.lanes {
+		if l := &e.lanes[i]; cap(l.preds) < n {
+			l.preds = make([]predictor.Prediction, 0, n)
+		}
+	}
 	for i := range blks {
 		e.ProcessBlock(&blks[i])
 	}

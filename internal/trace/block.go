@@ -247,11 +247,11 @@ func BlocksRecords(blks []Block) []Record {
 }
 
 // ReadBlock refills b with the next run of records, up to the capacity of
-// b's lanes (a zero Block gets BlockCap-record lanes), reusing b's lane
-// storage (the Value lane included) so a streaming decode allocates
-// nothing per block once the lanes have grown. The records decode
-// straight from the byte window into the lanes, through the same decoder
-// and checks as Read.
+// b's record lanes (a block without any, such as a zero Block, gets
+// BlockCap-record lanes), reusing b's lane storage (the Value lane
+// included) so a streaming decode allocates nothing per block once the
+// lanes have grown. The records decode straight from the byte window into
+// the lanes, through the same decoder and checks as Read.
 //
 // ReadBlock does not wait for a full block. It reads the source only while
 // b is still empty, until the window holds a complete record, and then
@@ -265,12 +265,12 @@ func BlocksRecords(blks []Block) []Record {
 // any other error b holds the records decoded before it in this call; the
 // records of earlier calls are not repeated.
 func (r *Reader) ReadBlock(b *Block) error {
-	if cap(b.Meta) == 0 {
-		*b = NewBlock(BlockCap)
+	n := min(cap(b.PC), cap(b.Target), cap(b.Meta), cap(b.Gap))
+	if n == 0 {
+		*b, n = NewBlock(BlockCap), BlockCap
 	}
 	b.PC, b.Target, b.Meta, b.Gap = b.PC[:0], b.Target[:0], b.Meta[:0], b.Gap[:0]
 	b.Value, b.MTIdx, b.PIBIdx, b.GapSum = b.Value[:0], b.MTIdx[:0], b.PIBIdx[:0], 0
-	n := min(cap(b.PC), cap(b.Target), cap(b.Meta), cap(b.Gap))
 	for {
 		if err := r.decodeBlock(b, n); err != nil || b.Len() > 0 {
 			return err
