@@ -258,8 +258,8 @@ func BlocksRecords(blks []Block) []Record {
 // returns as soon as the window holds no complete record: a source that
 // has delivered some records and then blocks yields them with no further
 // read, so a peer that streams a body while it reads the replies keeps
-// getting them. A block therefore comes back short wherever a source read
-// ends inside it, not only at the end of the stream.
+// getting them. A block therefore comes back short whenever the bytes read
+// so far run out before it fills, not only at the end of the stream.
 //
 // ReadBlock returns io.EOF, with b empty, once the stream is exhausted. On
 // any other error b holds the records decoded before it in this call; the
