@@ -1,59 +1,24 @@
 package btb
 
-import (
-	"repro/internal/counter"
-	"repro/internal/state"
-)
+import "repro/internal/state"
 
-// Snapshot implements state.Snapshotter. Invalid entries collapse to their
-// valid bit, so snapshot size tracks occupancy.
-func (b *BTB) Snapshot(w *state.Writer) {
-	w.Begin(state.SecBTB)
-	w.Bool(b.hysteresis)
-	w.U64(uint64(len(b.entries)))
-	for i := range b.entries {
-		e := &b.entries[i]
-		w.Bool(e.valid)
-		if e.valid {
-			w.U64(e.target)
-			w.U8(e.hyst.Value())
-		}
-	}
-	w.End()
-}
-
-// Restore implements state.Snapshotter, rebuilding the table in place.
-func (b *BTB) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecBTB); err != nil {
-		return err
-	}
-	hysteresis := r.Bool()
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hysteresis != b.hysteresis || n != uint64(len(b.entries)) {
-		return state.Mismatchf("BTB hysteresis %v/%d entries vs snapshot %v/%d",
-			b.hysteresis, len(b.entries), hysteresis, n)
+// Walk implements state.Snapshotter. Invalid entries collapse to their
+// valid bit, so snapshot size tracks occupancy; loading clears the table
+// first, since a load displaces and never merges.
+func (b *BTB) Walk(c *state.Codec) {
+	c.Begin(state.SecBTB)
+	c.MatchBool(b.hysteresis)
+	c.Match(uint64(len(b.entries)))
+	if c.Loading() {
+		clear(b.entries)
 	}
 	for i := range b.entries {
-		e := &b.entries[i]
-		if !r.Bool() {
-			*e = entry{}
-			continue
+		if e := &b.entries[i]; c.Bool(&e.valid) {
+			c.U64(&e.target)
+			e.hyst.Walk(c)
 		}
-		target := r.U64()
-		raw := r.U8()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		hyst, ok := counter.HysteresisFromValue(raw)
-		if !ok {
-			return state.Corruptf("BTB entry hysteresis %d out of range", raw)
-		}
-		*e = entry{valid: true, target: target, hyst: hyst}
 	}
-	return r.End()
+	c.End()
 }
 
 var _ state.Snapshotter = (*BTB)(nil)

@@ -112,9 +112,12 @@ func (c *Cascade) filterSlot(pc uint64) uint64 {
 	return (pc >> 2) & uint64(len(c.filter)-1)
 }
 
-// filterTag is the 24-bit mixed tag distinguishing aliased branches.
+// filterTagBits is the width of the filter's mixed tags.
+const filterTagBits = 24
+
+// filterTag is the mixed tag distinguishing aliased branches.
 func (c *Cascade) filterTag(pc uint64) uint64 {
-	return hashing.Mix64(pc>>2) >> 40
+	return hashing.Mix64(pc>>2) >> (64 - filterTagBits)
 }
 
 // Predict implements predictor.IndirectPredictor.

@@ -1,75 +1,29 @@
 package cascade
 
-import (
-	"repro/internal/counter"
-	"repro/internal/state"
-)
+import "repro/internal/state"
 
-// Snapshot implements state.Snapshotter: the filter section (entries and
-// stage statistics) followed by the main Dual-path predictor.
-func (c *Cascade) Snapshot(w *state.Writer) {
-	w.Begin(state.SecCascade)
-	w.U8(uint8(c.cfg.Policy))
-	w.U64(uint64(len(c.filter)))
-	for i := range c.filter {
-		e := &c.filter[i]
-		w.Bool(e.valid)
-		if !e.valid {
-			continue
-		}
-		w.Bool(e.poly)
-		w.U64(e.tag)
-		w.U64(e.target)
-		w.U8(e.hyst.Value())
-	}
-	w.U64(c.filterServed)
-	w.U64(c.mainServed)
-	w.U64(c.promotions)
-	w.End()
-	c.main.Snapshot(w)
-}
-
-// Restore implements state.Snapshotter, rebuilding the filter in place.
-func (c *Cascade) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecCascade); err != nil {
-		return err
-	}
-	policy := FilterPolicy(r.U8())
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if policy != c.cfg.Policy || n != uint64(len(c.filter)) {
-		return state.Mismatchf("cascade policy %v/%d filter entries vs snapshot %v/%d",
-			c.cfg.Policy, len(c.filter), policy, n)
+// Walk implements state.Snapshotter: the filter section (entries and stage
+// statistics) followed by the main Dual-path predictor.
+func (c *Cascade) Walk(sc *state.Codec) {
+	sc.Begin(state.SecCascade)
+	sc.MatchU8(uint8(c.cfg.Policy))
+	sc.Match(uint64(len(c.filter)))
+	if sc.Loading() {
+		clear(c.filter)
 	}
 	for i := range c.filter {
-		e := &c.filter[i]
-		if !r.Bool() {
-			*e = filterEntry{}
-			continue
+		if e := &c.filter[i]; sc.Bool(&e.valid) {
+			sc.Bool(&e.poly)
+			sc.U64Max(&e.tag, 1<<filterTagBits-1)
+			sc.U64(&e.target)
+			e.hyst.Walk(sc)
 		}
-		poly := r.Bool()
-		tag := r.U64()
-		target := r.U64()
-		raw := r.U8()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		hyst, ok := counter.HysteresisFromValue(raw)
-		if !ok {
-			return state.Corruptf("cascade filter hysteresis %d out of range", raw)
-		}
-		*e = filterEntry{valid: true, poly: poly, tag: tag, target: target, hyst: hyst}
 	}
-	filterServed := r.U64()
-	mainServed := r.U64()
-	promotions := r.U64()
-	if err := r.End(); err != nil {
-		return err
-	}
-	c.filterServed, c.mainServed, c.promotions = filterServed, mainServed, promotions
-	return c.main.Restore(r)
+	sc.U64(&c.filterServed)
+	sc.U64(&c.mainServed)
+	sc.U64(&c.promotions)
+	sc.End()
+	c.main.Walk(sc)
 }
 
 var _ state.Snapshotter = (*Cascade)(nil)

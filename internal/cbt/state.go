@@ -6,84 +6,30 @@ import (
 	"repro/internal/state"
 )
 
-// Snapshot implements state.Snapshotter. The deterministic-availability
-// draw counter travels with the tables: the Bernoulli sequence is part of
-// the predictor's observable behaviour, so a restored CBT must continue the
+// Walk implements state.Snapshotter. The deterministic-availability draw
+// counter travels with the tables: the Bernoulli sequence is part of the
+// predictor's observable behaviour, so a restored CBT must continue the
 // exact draw stream the uncut run would have.
-func (c *CBT) Snapshot(w *state.Writer) {
-	w.Begin(state.SecCBT)
-	w.U64(uint64(len(c.table)))
-	w.U64(math.Float64bits(c.cfg.Availability))
-	w.U64(c.cfg.Seed)
-	for i := range c.table {
-		e := &c.table[i]
-		w.Bool(e.valid)
-		if e.valid {
-			w.U64(e.key)
-			w.U64(e.target)
+func (c *CBT) Walk(sc *state.Codec) {
+	sc.Begin(state.SecCBT)
+	sc.Match(uint64(len(c.table)))
+	sc.Match(math.Float64bits(c.cfg.Availability))
+	sc.Match(c.cfg.Seed)
+	for _, t := range [][]entry{c.table, c.fallback} {
+		if sc.Loading() {
+			clear(t)
+		}
+		for i := range t {
+			if e := &t[i]; sc.Bool(&e.valid) {
+				sc.U64(&e.key)
+				sc.U64(&e.target)
+			}
 		}
 	}
-	for i := range c.fallback {
-		e := &c.fallback[i]
-		w.Bool(e.valid)
-		if e.valid {
-			w.U64(e.key)
-			w.U64(e.target)
-		}
-	}
-	w.U64(c.draws)
-	w.U64(c.valueHits)
-	w.U64(c.lookups)
-	w.End()
-}
-
-// Restore implements state.Snapshotter, rebuilding both tables in place.
-func (c *CBT) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecCBT); err != nil {
-		return err
-	}
-	entries := r.U64()
-	avail := math.Float64frombits(r.U64())
-	seed := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if entries != uint64(len(c.table)) || avail != c.cfg.Availability || seed != c.cfg.Seed {
-		return state.Mismatchf("CBT %d entries/p=%v/seed %#x vs snapshot %d/p=%v/seed %#x",
-			len(c.table), c.cfg.Availability, c.cfg.Seed, entries, avail, seed)
-	}
-	for i := range c.table {
-		if err := readCBTEntry(r, &c.table[i]); err != nil {
-			return err
-		}
-	}
-	for i := range c.fallback {
-		if err := readCBTEntry(r, &c.fallback[i]); err != nil {
-			return err
-		}
-	}
-	draws := r.U64()
-	valueHits := r.U64()
-	lookups := r.U64()
-	if err := r.End(); err != nil {
-		return err
-	}
-	c.draws, c.valueHits, c.lookups = draws, valueHits, lookups
-	return nil
-}
-
-func readCBTEntry(r *state.Reader, e *entry) error {
-	if !r.Bool() {
-		*e = entry{}
-		return r.Err()
-	}
-	key := r.U64()
-	target := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	*e = entry{valid: true, key: key, target: target}
-	return nil
+	sc.U64(&c.draws)
+	sc.U64(&c.valueHits)
+	sc.U64(&c.lookups)
+	sc.End()
 }
 
 var _ state.Snapshotter = (*CBT)(nil)

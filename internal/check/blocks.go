@@ -222,18 +222,36 @@ func BenchPredictors() []predictor.IndirectPredictor {
 // ExtensionPredictors builds the predictor set of the extension experiments
 // that carry their own batch fast paths but sit outside the bench families:
 // the value-keyed CBT (ValueAware, so the Value lane is on the hook), the
-// leaky-filtered PPM, the multi-target Markov stack, and the unbounded
-// oracle that exercises the engine's record-at-a-time fallback inside a
-// block. BlockEngineIdentity over this set pins all of them to the record
-// engine at every block capacity.
+// leaky-filtered PPM, the multi-target Markov stack, and two members the
+// engine replays through its record-at-a-time fallback inside a block: the
+// unbounded oracle, and a BTB2b with its block path hidden (recordOnlyName).
+// The oracle abstains on almost every dispatch of a short trace, so only
+// the BTB2b puts predicted targets on the fallback's prediction lane.
+// BlockEngineIdentity over this set pins all of them to the record engine
+// at every block capacity.
 func ExtensionPredictors() []predictor.IndirectPredictor {
+	b, _ := bench.NewPredictor("BTB2b")
 	return []predictor.IndirectPredictor{
 		cbt.New(cbt.Config{Entries: 2048, Availability: 0.5, Seed: 0xCB7}),
 		core.PaperFiltered(),
 		core.NewMultiTarget(10, 4),
 		oracle.New(8),
+		recordOnly{b},
 	}
 }
+
+// recordOnlyName labels the ExtensionPredictors member that predicts
+// through the engine's record-at-a-time fallback.
+const recordOnlyName = "BTB2b-record-only"
+
+// recordOnly hides a predictor's block path (and every other optional
+// interface) behind the bare predictor contract.
+type recordOnly struct{ predictor.IndirectPredictor }
+
+// Name implements predictor.IndirectPredictor.
+func (recordOnly) Name() string { return recordOnlyName }
+
+var _ predictor.IndirectPredictor = (*recordOnly)(nil)
 
 // StreamVariantPredictors builds each history family on the lane stream it
 // does not ship with: GAp and Target Cache on the MT stream; Dual-path, a

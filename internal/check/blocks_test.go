@@ -6,14 +6,17 @@ import (
 	"repro/internal/history"
 	"repro/internal/ittage"
 	"repro/internal/predictor"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/twolevel"
 )
 
 // TestBlockEngineIdentity holds every bench family and the extension
-// line-up — CBT's Value lane and the oracle's record-at-a-time fallback
-// among them — to the record engine, counters and prediction lanes both,
-// over a workload trace and a raw adversarial stream.
+// line-up — CBT's Value lane and the record-at-a-time fallback among them —
+// to the record engine, counters and prediction lanes both, over a
+// workload trace and a raw adversarial stream. On each trace the
+// fallback's predicting member must venture a target on most dispatches
+// and get some right, so a wrong target the fallback stores shows.
 func TestBlockEngineIdentity(t *testing.T) {
 	traces := map[string][]trace.Record{
 		"workload": RandomTrace(24, metaEvents),
@@ -26,6 +29,14 @@ func TestBlockEngineIdentity(t *testing.T) {
 		} {
 			if err := BlockEngineIdentity(recs, build); err != nil {
 				t.Errorf("%s line-up, %s trace: %v", name, kind, err)
+			}
+		}
+		eng := sim.New(ExtensionPredictors()...)
+		eng.ProcessBlocks(trace.Blocks(recs))
+		for _, c := range eng.Counters() {
+			if c.Predictor == recordOnlyName && (c.Correct == 0 || 2*(c.Correct+c.Wrong) < c.Lookups) {
+				t.Errorf("%s trace: the record-only member predicted %d of %d dispatches (%d right); the fallback lane is held on abstentions",
+					kind, c.Correct+c.Wrong, c.Lookups, c.Correct)
 			}
 		}
 	}

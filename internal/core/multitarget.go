@@ -16,6 +16,10 @@ import (
 // predicts the highest-count target, so the cost/accuracy trade-off behind
 // the paper's simplification can be measured (see cmd/experiments -multi).
 
+// mtCountMax is where an arc's count saturates: train halves a state's
+// counts before an increment past it, so no count exceeds it.
+const mtCountMax = 15
+
 // mtSlot is one outgoing arc of a Markov state.
 type mtSlot struct {
 	target uint64
@@ -86,7 +90,7 @@ func (t *MultiMarkovTable) train(idx uint64, target uint64) {
 	e.valid = true
 	for i, s := range e.slots[:e.n] {
 		if s.target == target {
-			if s.count >= 15 {
+			if s.count >= mtCountMax {
 				for j := range e.slots[:e.n] {
 					e.slots[j].count >>= 1
 				}

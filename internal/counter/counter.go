@@ -6,7 +6,11 @@
 // that choose between PB and PIB path history per branch.
 package counter
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/state"
+)
 
 // Hysteresis is the per-entry 2-bit up/down saturating counter that controls
 // when a stored target may be replaced. A freshly allocated entry starts in
@@ -22,15 +26,9 @@ func NewHysteresis() Hysteresis { return Hysteresis{v: 1} }
 // Value exposes the raw 2-bit state, for tests and debug dumps.
 func (h Hysteresis) Value() uint8 { return h.v }
 
-// HysteresisFromValue reconstructs a counter from its raw 2-bit state, the
-// inverse of Value used by snapshot restore. ok is false when v exceeds the
-// 2-bit range.
-func HysteresisFromValue(v uint8) (h Hysteresis, ok bool) {
-	if v > 3 {
-		return Hysteresis{}, false
-	}
-	return Hysteresis{v: v}, true
-}
+// Walk visits the counter's raw 2-bit state as one snapshot byte, rejecting
+// a value above 3 on load.
+func (h *Hysteresis) Walk(c *state.Codec) { c.U8Max(&h.v, 3) }
 
 // OnHit strengthens confidence after the stored target proved correct.
 //
@@ -123,15 +121,10 @@ func NewSelection(mode SelectionMode) Selection {
 // State exposes the raw 2-bit state for tests and debug dumps.
 func (s Selection) State() uint8 { return s.state }
 
-// SelectionFromState reconstructs a counter from its raw 2-bit state and
-// mode, the inverse of State used by snapshot restore. ok is false when
-// raw exceeds the 2-bit range.
-func SelectionFromState(raw uint8, mode SelectionMode) (s Selection, ok bool) {
-	if raw > StronglyPIB {
-		return Selection{}, false
-	}
-	return Selection{state: raw, mode: mode}, true
-}
+// Walk visits the counter's raw 2-bit state as one snapshot byte, rejecting
+// a value above StronglyPIB on load. The mode is the owner's configuration
+// and never travels: a loaded counter keeps the mode it was built with.
+func (s *Selection) Walk(c *state.Codec) { c.U8Max(&s.state, StronglyPIB) }
 
 // Selected returns the correlation type the branch currently uses.
 //

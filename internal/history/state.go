@@ -2,86 +2,44 @@ package history
 
 import "repro/internal/state"
 
-// SaveState appends the register's contents as a snapshot section. The
-// names avoid the in-memory Snapshot/Restore(State) pair above, which the
-// workload generator uses for cheap intra-process rewinds; this pair is the
-// durable binary form.
-func (p *PHR) SaveState(w *state.Writer) {
-	w.Begin(state.SecPHR)
-	w.U8(uint8(p.stream))
-	w.U64(uint64(len(p.ring)))
-	w.U64(uint64(p.bitsPer))
-	w.U64(uint64(p.packedBits))
-	w.U64(uint64(p.head))
-	w.U64(uint64(p.Len()))
+// Walk implements state.Snapshotter: the register as one durable section.
+// The in-memory Snapshot/Restore(State) pair above is the workload
+// generator's cheap intra-process rewind, not this binary form.
+func (p *PHR) Walk(c *state.Codec) {
+	c.Begin(state.SecPHR)
+	c.MatchU8(uint8(p.stream))
+	c.Match(uint64(len(p.ring)))
+	c.Match(uint64(p.bitsPer))
+	c.Match(uint64(p.packedBits))
+	c.Int(&p.head, len(p.ring)-1)
+	// The wire holds how many targets the register retains; pushes keeps
+	// counting past the depth in memory.
+	filled := p.Len()
+	if c.Int(&filled, len(p.ring)); c.Loading() {
+		p.pushes = filled
+	}
 	// One word per 64 bits of packed register, low word first. Registers of
 	// 64 bits or fewer serialize exactly one word — the original encoding —
-	// and a zero-width register keeps its single placeholder word so the
-	// byte layout of every pre-multi-word snapshot is unchanged.
+	// and a zero-width register keeps a single placeholder word, always 0,
+	// so the byte layout of every pre-multi-word snapshot is unchanged.
 	if len(p.packed) == 0 {
-		w.U64(0)
+		var placeholder uint64
+		c.U64Max(&placeholder, 0)
 	}
-	top := len(p.packed) - 1
-	for i, t := range p.packed {
-		if i == top {
-			t &= p.topMask
+	for i := range p.packed {
+		if i < len(p.packed)-1 {
+			c.U64(&p.packed[i])
+			continue
 		}
-		w.U64(t)
+		// Push leaves bits past packedBits in the top word; they never
+		// travel, and a loaded top word must fit the register.
+		top := p.packed[i] & p.topMask
+		if c.U64Max(&top, p.topMask); c.Loading() {
+			p.packed[i] = top
+		}
 	}
-	for _, t := range p.ring {
-		w.U64(t)
-	}
-	w.End()
+	c.U64s(p.ring)
+	c.End()
 }
 
-// LoadState rebuilds the register in place from a SaveState section,
-// validating the configuration fingerprint and every positional field.
-func (p *PHR) LoadState(r *state.Reader) error {
-	if err := r.Begin(state.SecPHR); err != nil {
-		return err
-	}
-	stream := Stream(r.U8())
-	depth := r.U64()
-	bitsPer := r.U64()
-	packedBits := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if stream != p.stream || depth != uint64(len(p.ring)) || bitsPer != uint64(p.bitsPer) || packedBits != uint64(p.packedBits) {
-		return state.Mismatchf("PHR %v/%d/%d/%d vs snapshot %v/%d/%d/%d",
-			p.stream, len(p.ring), p.bitsPer, p.packedBits, stream, depth, bitsPer, packedBits)
-	}
-	head := r.U64()
-	filled := r.U64()
-	var packed0 uint64
-	if len(p.packed) == 0 {
-		packed0 = r.U64() // zero-width placeholder word
-	}
-	// Like the ring below, the packed words land in place before the final
-	// error check: a failed restore leaves the register unspecified, which
-	// every caller already handles by discarding the predictor.
-	for i := range p.packed {
-		p.packed[i] = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if head >= depth || filled > depth {
-		return state.Corruptf("PHR head %d / filled %d out of range for depth %d", head, filled, depth)
-	}
-	if len(p.packed) == 0 && packed0 != 0 {
-		return state.Corruptf("PHR zero-width packed register holds %#x", packed0)
-	}
-	if n := len(p.packed); n > 0 && p.packed[n-1]&^p.topMask != 0 {
-		return state.Corruptf("PHR packed top word %#x exceeds %d-bit register", p.packed[n-1], p.packedBits)
-	}
-	for i := range p.ring {
-		p.ring[i] = r.U64()
-	}
-	if err := r.End(); err != nil {
-		return err
-	}
-	p.head = int(head)
-	p.pushes = int(filled)
-	return nil
-}
+var _ state.Snapshotter = (*PHR)(nil)

@@ -2,129 +2,54 @@ package ittage
 
 import "repro/internal/state"
 
-// Snapshot implements state.Snapshotter: the configuration fingerprint and
+// Walk implements state.Snapshotter: the configuration fingerprint and
 // scalar counters, the base table, every tagged bank, then the path history
 // register. The per-bank folded registers are deliberately not serialized —
-// they are a pure function of the history ring, and Restore reseeds them
+// they are a pure function of the history ring, and loading reseeds them
 // from the wide packed register's from-scratch fold, so the incremental and
-// specification forms can never drift across a save/restore boundary.
-func (p *ITTAGE) Snapshot(w *state.Writer) {
-	w.Begin(state.SecITTAGE)
-	w.U64(uint64(len(p.base)))
-	w.U64(uint64(len(p.banks)))
-	w.U64(uint64(p.cfg.BankEntries))
-	w.U64(uint64(p.cfg.TagBits))
-	w.U64(uint64(p.cfg.MinHist))
-	w.U64(uint64(p.cfg.MaxHist))
-	w.U64(uint64(p.cfg.BitsPerItem))
-	w.U64(p.cfg.ResetPeriod)
-	w.U8(uint8(p.hist.Stream()))
-	w.U8(p.uaona)
-	w.U64(p.tick)
-	w.U64(p.uResets)
-	for i := range p.base {
-		be := &p.base[i]
-		w.Bool(be.valid)
-		if be.valid {
-			w.U64(be.target)
+// specification forms can never drift across a save/load boundary.
+func (p *ITTAGE) Walk(c *state.Codec) {
+	c.Begin(state.SecITTAGE)
+	c.Match(uint64(len(p.base)))
+	c.Match(uint64(len(p.banks)))
+	c.Match(uint64(p.cfg.BankEntries))
+	c.Match(uint64(p.cfg.TagBits))
+	c.Match(uint64(p.cfg.MinHist))
+	c.Match(uint64(p.cfg.MaxHist))
+	c.Match(uint64(p.cfg.BitsPerItem))
+	c.Match(p.cfg.ResetPeriod)
+	c.MatchU8(uint8(p.hist.Stream()))
+	c.U8Max(&p.uaona, uaonaMax)
+	c.U64(&p.tick)
+	c.U64(&p.uResets)
+	if c.Loading() {
+		clear(p.base)
+		for i := range p.banks {
+			clear(p.banks[i].entries)
 		}
 	}
-	for i := range p.banks {
-		es := p.banks[i].entries
-		for j := range es {
-			e := &es[j]
-			w.Bool(e.valid)
-			if !e.valid {
-				continue
-			}
-			w.U64(e.tag)
-			w.U64(e.target)
-			w.U8(e.ctr)
-			w.U8(e.u)
-		}
-	}
-	w.End()
-	p.hist.SaveState(w)
-}
-
-// Restore implements state.Snapshotter, rebuilding tables in place and
-// recomputing each bank's folded registers from the restored history.
-func (p *ITTAGE) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecITTAGE); err != nil {
-		return err
-	}
-	baseN := r.U64()
-	banks := r.U64()
-	bankN := r.U64()
-	tagBits := r.U64()
-	minHist := r.U64()
-	maxHist := r.U64()
-	bitsPer := r.U64()
-	resetPeriod := r.U64()
-	stream := r.U8()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if baseN != uint64(len(p.base)) || banks != uint64(len(p.banks)) || bankN != uint64(p.cfg.BankEntries) ||
-		tagBits != uint64(p.cfg.TagBits) || minHist != uint64(p.cfg.MinHist) || maxHist != uint64(p.cfg.MaxHist) ||
-		bitsPer != uint64(p.cfg.BitsPerItem) || resetPeriod != p.cfg.ResetPeriod || stream != uint8(p.hist.Stream()) {
-		return state.Mismatchf("ITTAGE %d/%dx%d/t%d/h%d-%d/b%d/r%d/s%d vs snapshot %d/%dx%d/t%d/h%d-%d/b%d/r%d/s%d",
-			len(p.base), len(p.banks), p.cfg.BankEntries, p.cfg.TagBits, p.cfg.MinHist, p.cfg.MaxHist,
-			p.cfg.BitsPerItem, p.cfg.ResetPeriod, uint8(p.hist.Stream()),
-			baseN, banks, bankN, tagBits, minHist, maxHist, bitsPer, resetPeriod, stream)
-	}
-	uaona := r.U8()
-	tick := r.U64()
-	uResets := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if uaona > uaonaMax {
-		return state.Corruptf("ITTAGE use-alt counter %d out of range", uaona)
-	}
 	for i := range p.base {
-		be := &p.base[i]
-		if r.Bool() {
-			be.valid = true
-			be.target = r.U64()
-		} else {
-			*be = baseEntry{}
+		if be := &p.base[i]; c.Bool(&be.valid) {
+			c.U64(&be.target)
 		}
 	}
 	tagMask := uint64(1)<<p.cfg.TagBits - 1
 	for i := range p.banks {
 		es := p.banks[i].entries
 		for j := range es {
-			e := &es[j]
-			if !r.Bool() {
-				*e = entry{}
-				continue
+			if e := &es[j]; c.Bool(&e.valid) {
+				c.U64Max(&e.tag, tagMask)
+				c.U64(&e.target)
+				c.U8Max(&e.ctr, ctrMax)
+				c.U8Max(&e.u, uMax)
 			}
-			tag := r.U64()
-			target := r.U64()
-			ctr := r.U8()
-			u := r.U8()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if tag&^tagMask != 0 {
-				return state.Corruptf("ITTAGE bank %d tag %#x exceeds %d bits", i, tag, p.cfg.TagBits)
-			}
-			if ctr > ctrMax || u > uMax {
-				return state.Corruptf("ITTAGE bank %d counters %d/%d out of range", i, ctr, u)
-			}
-			*e = entry{valid: true, tag: tag, target: target, ctr: ctr, u: u}
 		}
 	}
-	if err := r.End(); err != nil {
-		return err
+	c.End()
+	p.hist.Walk(c)
+	if !c.Loading() {
+		return
 	}
-	if err := p.hist.LoadState(r); err != nil {
-		return err
-	}
-	p.uaona = uaona
-	p.tick = tick
-	p.uResets = uResets
 	for i := range p.banks {
 		b := &p.banks[i]
 		in := uint(b.histLen) * p.cfg.BitsPerItem
@@ -132,7 +57,6 @@ func (p *ITTAGE) Restore(r *state.Reader) error {
 		b.tagFold.Set(p.hist.FoldPacked(in, b.tagFold.Out()))
 		b.tagFold2.Set(p.hist.FoldPacked(in, b.tagFold2.Out()))
 	}
-	return nil
 }
 
 var _ state.Snapshotter = (*ITTAGE)(nil)

@@ -39,7 +39,7 @@ type BIU struct {
 
 // BIUEntry is the per-branch state held by the BIU. A *BIUEntry points into
 // the table: it stays valid only until the next call that can insert or
-// remove an entry (Ensure, Observe, ObserveIndirect, Reset, LoadState).
+// remove an entry (Ensure, Observe, ObserveIndirect, Reset, Walk when loading).
 type BIUEntry struct {
 	// MT records the multi-target annotation bit.
 	MT bool

@@ -41,22 +41,24 @@ func (m *biuModel) ensure(pc uint64) *BIUEntry {
 	return e
 }
 
-// Snapshot writes the SaveState section the model's contents must produce.
-func (m *biuModel) Snapshot(w *state.Writer) {
-	w.Begin(state.SecBIU)
-	w.U8(uint8(m.mode))
-	w.U64(uint64(m.limit))
-	w.U64(m.evictions)
-	w.U64(uint64(len(m.order)))
-	for _, pc := range m.order {
-		w.U64(pc)
-		w.Bool(m.entries[pc].MT)
-		w.U8(m.entries[pc].Sel.State())
+// Walk writes the section the model's contents must produce, each value
+// as a fingerprint so the model never stores; it is never loaded.
+func (m *biuModel) Walk(c *state.Codec) {
+	if c.Loading() {
+		panic("the model is never loaded")
 	}
-	w.End()
+	c.Begin(state.SecBIU)
+	c.MatchU8(uint8(m.mode))
+	c.Match(uint64(m.limit))
+	c.Match(m.evictions)
+	c.Match(uint64(len(m.order)))
+	for _, pc := range m.order {
+		c.Match(pc)
+		c.MatchBool(m.entries[pc].MT)
+		c.MatchU8(m.entries[pc].Sel.State())
+	}
+	c.End()
 }
-
-func (m *biuModel) Restore(*state.Reader) error { panic("the model is never restored") }
 
 // collidingPCs returns n word-aligned PCs whose home slots coincide in every
 // table of up to 1<<12 slots (the top 12 bits of pc*fibMul agree), so each
@@ -73,13 +75,7 @@ func collidingPCs(n int) []uint64 {
 	return pcs
 }
 
-// biuSection lets a bare BIU travel through state.SaveBytes/LoadBytes.
-type biuSection struct{ b *BIU }
-
-func (s biuSection) Snapshot(w *state.Writer)      { s.b.SaveState(w) }
-func (s biuSection) Restore(r *state.Reader) error { return s.b.LoadState(r) }
-
-// TestBIUMatchesModel drives random Ensure/Observe/Reset/SaveState/LoadState
+// TestBIUMatchesModel drives random Ensure/Observe/Reset/save/load
 // sequences through the table and the model — PCs forced onto one probe
 // home mixed with scattered ones and PC 0 — and after every step requires
 // equal Len, Evictions, entry states for every PC ever used, and the same
@@ -122,7 +118,7 @@ func TestBIUMatchesModel(t *testing.T) {
 				default:
 					// Restore over the same table, into a fresh one, or into
 					// one warm with unrelated entries.
-					data := state.SaveBytes(biuSection{b})
+					data := state.SaveBytes(b)
 					switch rng.Intn(3) {
 					case 1:
 						b = NewBIU(mode, limit)
@@ -132,8 +128,8 @@ func TestBIUMatchesModel(t *testing.T) {
 							b.Ensure(p ^ 0x8000_0000)
 						}
 					}
-					if err := state.LoadBytes(biuSection{b}, data); err != nil {
-						t.Fatalf("%s step %d: LoadState: %v", name, step, err)
+					if err := state.LoadBytes(b, data); err != nil {
+						t.Fatalf("%s step %d: load: %v", name, step, err)
 					}
 				}
 				if b.Len() != len(m.order) || b.Evictions() != m.evictions {
@@ -145,7 +141,7 @@ func TestBIUMatchesModel(t *testing.T) {
 						t.Fatalf("%s step %d: Lookup(%#x) = %v, model %v", name, step, p, got, want)
 					}
 				}
-				if got, want := state.SaveBytes(biuSection{b}), state.SaveBytes(m); !bytes.Equal(got, want) {
+				if got, want := state.SaveBytes(b), state.SaveBytes(m); !bytes.Equal(got, want) {
 					t.Fatalf("%s step %d: snapshot differs from the model's", name, step)
 				}
 			}

@@ -1,78 +1,65 @@
 package predictor
 
 import (
+	"math"
+
 	"repro/internal/counter"
 	"repro/internal/state"
 )
 
-// SaveState appends the BIU contents as a snapshot section. Entries are
-// written in insertion order — the semantic order of the FIFO eviction
-// queue — never table order, so repeated snapshots of the same state are
-// byte-identical.
-func (b *BIU) SaveState(w *state.Writer) {
-	w.Begin(state.SecBIU)
-	w.U8(uint8(b.mode))
-	w.U64(uint64(b.limit))
-	w.U64(b.evictions)
-	w.U64(uint64(len(b.order)))
-	for _, pc := range b.order {
-		e := b.find(pc)
-		w.U64(pc)
-		w.Bool(e.MT)
-		w.U8(e.Sel.State())
+// Walk implements state.Snapshotter. Entries travel in insertion order —
+// the semantic order of the FIFO eviction queue — never table order, so
+// repeated saves of the same state are byte-identical. Loading clears the
+// table and refills it in snapshot order, growing it only when the
+// snapshot's population needs more slots than it has, so a steady-state
+// load into a same-population BIU does not allocate.
+func (b *BIU) Walk(c *state.Codec) {
+	c.Begin(state.SecBIU)
+	c.MatchU8(uint8(b.mode))
+	c.Match(uint64(b.limit))
+	if c.Loading() {
+		b.Reset()
 	}
-	w.End()
+	c.U64(&b.evictions)
+	n, limit := len(b.order), b.limit
+	if limit == 0 {
+		limit = math.MaxInt
+	}
+	c.Int(&n, limit)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var pc uint64
+		if !c.Loading() {
+			pc = b.order[i]
+		}
+		var s *biuSlot
+		if c.U64(&pc); c.Loading() {
+			s = b.insert(pc)
+		} else {
+			s = b.find(pc)
+		}
+		if s == nil {
+			c.Corrupt("BIU pc %#x duplicated", pc)
+			break
+		}
+		c.Bool(&s.MT)
+		s.Sel.Walk(c)
+	}
+	c.End()
 }
 
-// LoadState rebuilds the BIU in place from a SaveState section: the table
-// is cleared and refilled in snapshot order, growing only when the
-// snapshot's population needs more slots than it has, so a steady-state
-// restore into a same-population BIU does not allocate.
-func (b *BIU) LoadState(r *state.Reader) error {
-	if err := r.Begin(state.SecBIU); err != nil {
-		return err
+// insert appends pc to a table being loaded and returns its fresh slot, or
+// nil when pc is already present.
+func (b *BIU) insert(pc uint64) *biuSlot {
+	if 2*(len(b.order)+1) > len(b.slots) {
+		b.resize(2 * len(b.slots)) //lint:coldpath — only when the snapshot outgrows the live table
 	}
-	mode := counter.SelectionMode(r.U8())
-	limit := r.U64()
-	if err := r.Err(); err != nil {
-		return err
+	s := b.find(pc)
+	if s.used {
+		return nil
 	}
-	if mode != b.mode || limit != uint64(b.limit) {
-		return state.Mismatchf("BIU %v/limit %d vs snapshot %v/limit %d", b.mode, b.limit, mode, limit)
-	}
-	evictions := r.U64()
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if b.limit > 0 && n > uint64(b.limit) {
-		return state.Corruptf("BIU carries %d entries over limit %d", n, b.limit)
-	}
-	b.Reset()
-	for i := uint64(0); i < n; i++ {
-		pc := r.U64()
-		mt := r.Bool()
-		raw := r.U8()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		sel, ok := counter.SelectionFromState(raw, b.mode)
-		if !ok {
-			return state.Corruptf("BIU selection state %d out of range", raw)
-		}
-		if 2*(len(b.order)+1) > len(b.slots) {
-			b.resize(2 * len(b.slots)) //lint:coldpath — only when the snapshot outgrows the live table
-		}
-		s := b.find(pc)
-		if s.used {
-			return state.Corruptf("BIU pc %#x duplicated in snapshot", pc)
-		}
-		*s = biuSlot{pc: pc, used: true, BIUEntry: BIUEntry{MT: mt, Sel: sel}}
-		b.order = append(b.order, pc)
-	}
-	if err := r.End(); err != nil {
-		return err
-	}
-	b.evictions = evictions
-	return nil
+	*s = biuSlot{pc: pc, used: true, BIUEntry: BIUEntry{Sel: counter.NewSelection(b.mode)}}
+	b.order = append(b.order, pc)
+	return s
 }
+
+var _ state.Snapshotter = (*BIU)(nil)

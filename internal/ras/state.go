@@ -2,53 +2,21 @@ package ras
 
 import "repro/internal/state"
 
-// Snapshot implements state.Snapshotter.
-func (s *Stack) Snapshot(w *state.Writer) {
-	w.Begin(state.SecRAS)
-	w.U64(uint64(len(s.buf)))
-	w.U64(uint64(s.top))
-	w.U64(uint64(s.base))
-	w.U64(s.hits)
-	w.U64(s.preds)
-	for _, v := range s.buf {
-		w.U64(v)
+// Walk implements state.Snapshotter.
+func (s *Stack) Walk(c *state.Codec) {
+	c.Begin(state.SecRAS)
+	c.Match(uint64(len(s.buf)))
+	c.Int(&s.top, len(s.buf))
+	// Every store to base stays on the reduced-by-len form Push indexes
+	// with; the modulus is a no-op after the bound check.
+	base := s.base
+	if c.Int(&base, len(s.buf)-1); c.Loading() {
+		s.base = base % len(s.buf)
 	}
-	w.End()
-}
-
-// Restore implements state.Snapshotter, rebuilding the stack in place.
-func (s *Stack) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecRAS); err != nil {
-		return err
-	}
-	depth := r.U64()
-	top := r.U64()
-	base := r.U64()
-	hits := r.U64()
-	preds := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if depth != uint64(len(s.buf)) {
-		return state.Mismatchf("RAS depth %d vs snapshot %d", len(s.buf), depth)
-	}
-	if top > uint64(len(s.buf)) || base >= uint64(len(s.buf)) {
-		return state.Corruptf("RAS top %d / base %d out of range for depth %d", top, base, depth)
-	}
-	for i := range s.buf {
-		s.buf[i] = r.U64()
-	}
-	if err := r.End(); err != nil {
-		return err
-	}
-	s.top = int(top)
-	// The modulus is a no-op (base < len(s.buf) was validated above) but
-	// keeps every store to s.base on the reduced-by-len form the buffer
-	// indexing in Push/Pop relies on.
-	s.base = int(base) % len(s.buf)
-	s.hits = hits
-	s.preds = preds
-	return nil
+	c.U64(&s.hits)
+	c.U64(&s.preds)
+	c.U64s(s.buf)
+	c.End()
 }
 
 var _ state.Snapshotter = (*Stack)(nil)

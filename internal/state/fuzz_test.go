@@ -27,7 +27,9 @@ func fuzzFamilies() []string {
 // path: train a randomly chosen family on a random record prefix, snapshot,
 // restore into a fresh predictor, and require the restored engine to be
 // indistinguishable — re-snapshot bytes, per-dispatch predictions over a
-// continuation, and final snapshots all identical. The adversarial path:
+// continuation, and final snapshots all identical — and require SizeOf,
+// which runs the same walk in the counting mode, to equal the snapshot's
+// length. The adversarial path:
 // single-byte corruption and truncation of the same snapshot must yield the
 // typed ErrCorrupt/ErrMismatch, never a panic and never an untyped error.
 func FuzzStateRoundTrip(f *testing.F) {
@@ -45,6 +47,9 @@ func FuzzStateRoundTrip(f *testing.F) {
 		src := sim.New(build())
 		src.ProcessAll(prefix)
 		snap := append([]byte(nil), state.SaveBytes(src)...)
+		if got := state.SizeOf(src); got != len(snap) {
+			t.Fatalf("%s: SizeOf = %d, len(Save) = %d", fam, got, len(snap))
+		}
 
 		restored := sim.New(build())
 		if err := state.LoadBytes(restored, snap); err != nil {

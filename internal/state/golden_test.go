@@ -75,7 +75,7 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
-// TestSizeOfMatchesSave holds SizeOf's counting writer to Save: for every
+// TestSizeOfMatchesSave holds SizeOf's counting walk to Save: for every
 // snapshot-capable family, over the TestSnapshotGolden inputs, the count
 // equals the snapshot's length at every training point, and again in a
 // fresh engine loaded from the snapshot. Counting must not allocate.

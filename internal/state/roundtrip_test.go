@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -200,6 +201,36 @@ func TestSnapshotDeterministic(t *testing.T) {
 			if b := state.SaveBytes(e); !bytes.Equal(a, b) {
 				t.Fatalf("snapshot not deterministic: %d vs %d bytes", len(a), len(b))
 			}
+		})
+	}
+}
+
+// TestSaveAndSizeOfOnlyRead saves and counts one trained engine of every
+// family from two goroutines at once. Only Load may store through a walk's
+// fields, so under the race detector (make race) a store made while
+// encoding or counting fails the test; without it both goroutines must
+// still see the serial snapshot and its size.
+func TestSaveAndSizeOfOnlyRead(t *testing.T) {
+	recs := check.RandomTrace(0x5AFE, 2000)
+	for name, build := range builders() {
+		t.Run(name, func(t *testing.T) {
+			e := sim.New(build())
+			e.ProcessAll(recs)
+			want := append([]byte(nil), state.SaveBytes(e)...)
+			var wg sync.WaitGroup
+			for range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got := state.SaveBytes(e); !bytes.Equal(got, want) {
+						t.Errorf("concurrent Save: %d bytes, serial %d", len(got), len(want))
+					}
+					if n := state.SizeOf(e); n != len(want) {
+						t.Errorf("concurrent SizeOf = %d, len(Save) = %d", n, len(want))
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }

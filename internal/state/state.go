@@ -14,27 +14,37 @@
 //	section  := id:uvarint len:u32le payload crc:u32le
 //
 // The CRC is CRC-32C (Castagnoli) over the payload bytes, so every section
-// detects corruption independently. Payload values are varint-coded: U64 is
-// an unsigned LEB128 varint, I64 its zigzag form, U8/Bool single bytes
-// (Bool strictly 0 or 1, keeping re-encoding byte-identical). Section ids
-// are a package-level registry (Sec*), one per component type; a component
-// always writes its configuration fingerprint first, so Restore into a
+// detects corruption independently. Payload values are unsigned LEB128
+// varints (U64, U32, Int) or single bytes (U8Max, Bool — Bool strictly 0
+// or 1, keeping re-encoding byte-identical). Section ids are a
+// package-level registry (Sec*), one per component type; a component
+// always walks its configuration fingerprint first, so loading into a
 // predictor built from a different configuration fails with ErrMismatch
 // instead of silently misinterpreting table entries.
 //
 // Sections never nest. Composite predictors concatenate their components'
 // sections in a fixed order — a DualPath snapshot is its selector section
-// followed by the short and long GAp snapshots — and Restore consumes them
-// in the same order.
+// followed by the short and long GAp snapshots.
+//
+// # One walk, three modes
+//
+// Each component states its layout once, in its Walk method (see
+// Snapshotter), and Save, SizeOf and Load all run that walk through a
+// Codec: encoding appends each field, counting adds up the bytes encoding
+// would append, and decoding reads each field, checks it and stores it.
+// The fingerprint and range checks live in the walk's field calls (Match,
+// U64Max, U8Max, Int), so the encoder, the size count and the decoder
+// cannot drift apart.
 //
 // # Round-trip guarantees
 //
-// Snapshot is deterministic: snapshotting the same logical predictor state
-// twice yields identical bytes (map-backed structures serialize in
-// insertion order, never map order). Restore rebuilds state in place into
-// an identically-configured predictor, reusing its backing arrays, so a
-// restore followed by a snapshot reproduces the input bytes exactly and the
-// steady-state snapshot/restore cycle does not allocate.
+// Save is deterministic: saving the same logical predictor state twice
+// yields identical bytes (map-backed structures serialize in insertion
+// order, never map order). Load rebuilds state in place into an
+// identically-configured predictor, reusing its backing arrays, so a load
+// followed by a save reproduces the input bytes exactly and the
+// steady-state save/load cycle does not allocate. Save and SizeOf only
+// read the predictor.
 package state
 
 import (
@@ -52,43 +62,29 @@ const Version = 2
 const magic = "PPMS"
 
 // ErrCorrupt reports malformed snapshot bytes: bad magic, truncated
-// framing, CRC mismatch, or out-of-range values. Errors returned
-// by Restore wrap ErrCorrupt with detail; test with errors.Is.
+// framing, CRC mismatch, or out-of-range values. Errors returned by Load
+// wrap ErrCorrupt with detail; test with errors.Is.
 var ErrCorrupt = errors.New("state: corrupt snapshot")
 
 // ErrMismatch reports a structurally valid snapshot whose format version or
 // configuration fingerprint does not match the predictor it is being
-// restored into.
+// loaded into.
 var ErrMismatch = errors.New("state: snapshot does not match predictor configuration")
 
-// corruptf wraps ErrCorrupt with formatted detail.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
-}
-
-// mismatchf wraps ErrMismatch with formatted detail.
-func mismatchf(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrMismatch}, args...)...)
-}
-
-// Mismatchf builds an ErrMismatch with formatted detail, for component
-// Restore implementations validating their configuration fingerprints.
-func Mismatchf(format string, args ...any) error { return mismatchf(format, args...) }
-
-// Corruptf builds an ErrCorrupt with formatted detail, for component
-// Restore implementations validating decoded values.
-func Corruptf(format string, args ...any) error { return corruptf(format, args...) }
-
 // Snapshotter is implemented by every predictor (and predictor component)
-// whose state can be captured and rebuilt. Snapshot appends the component's
-// sections to w; Restore consumes the same sections from r, rebuilding
-// state in place into the receiver's existing backing storage, and reports
-// ErrCorrupt/ErrMismatch wrapped errors on invalid input. A predictor is
-// only snapshotted at a record boundary (after Update and Observe, before
-// the next Predict), so transient per-prediction scratch is never encoded.
+// whose state can be captured and rebuilt. Walk visits the component's
+// snapshot fields in wire order through c, once per Save, SizeOf and Load:
+// the one walk is the component's layout. It opens its own sections,
+// walks its configuration fingerprint first (Match), bounds every
+// range-limited field where it is visited, and walks its components after
+// its own sections. A walk stores through its fields only when decoding,
+// rebuilding state in place into the receiver's existing backing storage,
+// and branches on c.Loading only where the in-memory form differs from the
+// wire form. A predictor is only snapshotted at a record boundary (after
+// Update and Observe, before the next Predict), so transient per-prediction
+// scratch is never encoded.
 type Snapshotter interface {
-	Snapshot(w *Writer)
-	Restore(r *Reader) error
+	Walk(c *Codec)
 }
 
 // Section ids, one per component type. The registry is centralized so the
@@ -114,15 +110,14 @@ const (
 	SecITTAGE      uint64 = 17 // ittage.ITTAGE base + tagged banks
 )
 
-// Save serializes s into w (resetting it first) and returns the snapshot
-// bytes. The returned slice aliases the writer's buffer and is valid until
-// the writer's next use; callers that outlive that must copy.
+// Save serializes s into w and returns the snapshot bytes. The returned
+// slice aliases the writer's buffer and is valid until the writer's next
+// use; callers that outlive that must copy.
 func Save(s Snapshotter, w *Writer) []byte {
-	w.Reset()
-	w.buf = append(w.buf, magic...)
-	w.buf = append(w.buf, Version)
-	s.Snapshot(w)
-	return w.buf
+	c := &w.c
+	*c = Codec{mode: encoding, buf: append(append(c.buf[:0], magic...), Version)}
+	s.Walk(c)
+	return c.buf
 }
 
 // SaveBytes is Save with a throwaway writer, for tools and tests.
@@ -134,25 +129,23 @@ func SaveBytes(s Snapshotter) []byte {
 // Load restores s from snapshot bytes using r as the decoding cursor. The
 // whole input must be consumed: trailing bytes are corruption.
 func Load(s Snapshotter, r *Reader, data []byte) error {
-	r.reset(data)
-	if len(data) < len(magic)+1 {
-		return corruptf("short header: %d bytes", len(data))
+	c := &r.c
+	*c = Codec{mode: decoding, buf: data, pos: len(magic) + 1, mark: len(magic) + 1}
+	switch {
+	case len(data) < len(magic)+1:
+		return fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(data))
+	case string(data[:len(magic)]) != magic:
+		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:len(magic)])
+	case data[len(magic)] != Version:
+		return fmt.Errorf("%w: snapshot format version %d, this build reads version %d",
+			ErrMismatch, data[len(magic)], Version)
 	}
-	if string(data[:len(magic)]) != magic {
-		return corruptf("bad magic %q", data[:len(magic)])
+	s.Walk(c)
+	if c.err != nil {
+		return c.err
 	}
-	if v := data[len(magic)]; v != Version {
-		return mismatchf("snapshot format version %d, this build reads version %d", v, Version)
-	}
-	r.pos = len(magic) + 1
-	if err := s.Restore(r); err != nil {
-		return err
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.pos != len(r.data) {
-		return corruptf("%d trailing bytes after last section", len(r.data)-r.pos)
+	if c.pos != len(data) {
+		return fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, len(data)-c.pos)
 	}
 	return nil
 }
@@ -164,19 +157,18 @@ func LoadBytes(s Snapshotter, data []byte) error {
 }
 
 // SizeOf returns the serialized size of s in bytes — the live-state cost a
-// session accounts against its memory budget. It runs s's Snapshot through
-// a counting writer, which adds up what Save would write without writing
-// it or computing a CRC, so the count is exact and needs no buffer. The
-// counting writers are pooled, so steady-state calls do not allocate.
+// session accounts against its memory budget. It runs s's Walk in the
+// counting mode, which adds up what Save would write without writing it or
+// computing a CRC, so the count is exact and needs no buffer. The counting
+// codecs are pooled, so steady-state calls do not allocate.
 func SizeOf(s Snapshotter) int {
-	w := counters.Get().(*Writer)
-	w.Reset()
-	w.n = len(magic) + 1
-	s.Snapshot(w)
-	n := w.n
-	counters.Put(w)
+	c := counters.Get().(*Codec)
+	*c = Codec{mode: counting, n: len(magic) + 1}
+	s.Walk(c)
+	n := c.n
+	counters.Put(c)
 	return n
 }
 
 // counters backs SizeOf.
-var counters = sync.Pool{New: func() any { return &Writer{lenAt: -1, counting: true} }}
+var counters = sync.Pool{New: func() any { return new(Codec) }}

@@ -1,261 +1,96 @@
 package twolevel
 
-import (
-	"repro/internal/counter"
-	"repro/internal/history"
-	"repro/internal/state"
-)
+import "repro/internal/state"
 
-// Snapshot implements state.Snapshotter. The LRU clock and per-entry
-// stamps travel with the entries: true-LRU victim choice is part of the
+// Walk implements state.Snapshotter. The LRU clock and per-entry stamps
+// travel with the entries: true-LRU victim choice is part of the
 // predictor's observable behaviour, so a restored table must replay the
 // exact replacement sequence the uncut run would have.
-func (t *PHT) Snapshot(w *state.Writer) {
-	w.Begin(state.SecPHT)
-	w.U64(uint64(len(t.sets)))
-	w.U64(uint64(t.assoc))
-	w.Bool(t.tagged)
-	w.Bool(t.useful)
+func (t *PHT) Walk(c *state.Codec) {
+	c.Begin(state.SecPHT)
+	c.Match(uint64(len(t.sets)))
+	c.Match(uint64(t.assoc))
+	c.MatchBool(t.tagged)
+	c.MatchBool(t.useful)
 	if t.useful {
-		w.U64(t.resetPeriod)
+		c.Match(t.resetPeriod)
 	}
-	w.U64(t.clock)
+	c.U64(&t.clock)
 	for _, set := range t.sets {
+		if c.Loading() {
+			clear(set)
+		}
 		for i := range set {
-			e := &set[i]
-			w.Bool(e.valid)
-			if !e.valid {
-				continue
-			}
-			w.U64(e.tag)
-			w.U64(e.target)
-			w.U8(e.hyst.Value())
-			w.U64(e.lru)
-			if t.useful {
-				w.U8(e.u)
+			if e := &set[i]; c.Bool(&e.valid) {
+				c.U64(&e.tag)
+				c.U64(&e.target)
+				e.hyst.Walk(c)
+				c.U64(&e.lru)
+				if t.useful {
+					c.U8Max(&e.u, phtUMax)
+				}
 			}
 		}
 	}
-	w.End()
+	c.End()
 }
 
-// Restore implements state.Snapshotter, rebuilding the table in place.
-func (t *PHT) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecPHT); err != nil {
-		return err
-	}
-	nsets := r.U64()
-	assoc := r.U64()
-	tagged := r.Bool()
-	useful := r.Bool()
-	var resetPeriod uint64
-	if useful {
-		resetPeriod = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nsets != uint64(len(t.sets)) || assoc != uint64(t.assoc) || tagged != t.tagged ||
-		useful != t.useful || resetPeriod != t.resetPeriod {
-		return state.Mismatchf("PHT %d sets/%d-way/tagged %v/useful %v/%d vs snapshot %d/%d/%v/%v/%d",
-			len(t.sets), t.assoc, t.tagged, t.useful, t.resetPeriod, nsets, assoc, tagged, useful, resetPeriod)
-	}
-	clock := r.U64()
-	for _, set := range t.sets {
-		for i := range set {
-			e := &set[i]
-			if !r.Bool() {
-				*e = PHTEntry{}
-				continue
-			}
-			tag := r.U64()
-			target := r.U64()
-			raw := r.U8()
-			lru := r.U64()
-			var u uint8
-			if t.useful {
-				u = r.U8()
-			}
-			if err := r.Err(); err != nil {
-				return err
-			}
-			hyst, ok := counter.HysteresisFromValue(raw)
-			if !ok {
-				return state.Corruptf("PHT entry hysteresis %d out of range", raw)
-			}
-			if u > phtUMax {
-				return state.Corruptf("PHT entry usefulness %d out of range", u)
-			}
-			*e = PHTEntry{valid: true, tag: tag, target: target, hyst: hyst, lru: lru, u: u}
-		}
-	}
-	if err := r.End(); err != nil {
-		return err
-	}
-	t.clock = clock
-	return nil
-}
-
-// Snapshot implements state.Snapshotter: the configuration fingerprint
+// Walk implements state.Snapshotter: the configuration fingerprint
 // followed by every PHT and the history register.
-func (g *GAp) Snapshot(w *state.Writer) {
-	w.Begin(state.SecGAp)
-	w.U64(uint64(g.cfg.Entries))
-	w.U64(uint64(g.cfg.PHTs))
-	w.U64(uint64(maxInt(1, g.cfg.Assoc)))
-	w.Bool(g.cfg.Tagged)
-	w.U64(uint64(g.cfg.PathLength))
-	w.U64(uint64(g.cfg.BitsPerTarget))
-	w.U8(uint8(g.cfg.HistoryStream))
-	w.U8(uint8(g.cfg.Indexing))
-	w.U64(uint64(g.cfg.historyBits()))
-	w.Bool(g.cfg.Useful)
+func (g *GAp) Walk(c *state.Codec) {
+	c.Begin(state.SecGAp)
+	c.Match(uint64(g.cfg.Entries))
+	c.Match(uint64(g.cfg.PHTs))
+	c.Match(uint64(maxInt(1, g.cfg.Assoc)))
+	c.MatchBool(g.cfg.Tagged)
+	c.Match(uint64(g.cfg.PathLength))
+	c.Match(uint64(g.cfg.BitsPerTarget))
+	c.MatchU8(uint8(g.cfg.HistoryStream))
+	c.MatchU8(uint8(g.cfg.Indexing))
+	c.Match(uint64(g.cfg.historyBits()))
+	c.MatchBool(g.cfg.Useful)
 	if g.cfg.Useful {
-		w.U64(g.cfg.UsefulResetPeriod)
+		c.Match(g.cfg.UsefulResetPeriod)
 	}
-	w.End()
+	c.End()
 	for _, t := range g.tables {
-		t.Snapshot(w)
+		t.Walk(c)
 	}
-	g.hist.SaveState(w)
+	g.hist.Walk(c)
 }
 
-// Restore implements state.Snapshotter.
-func (g *GAp) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecGAp); err != nil {
-		return err
-	}
-	entries := r.U64()
-	phts := r.U64()
-	assoc := r.U64()
-	tagged := r.Bool()
-	pathLength := r.U64()
-	bitsPerTarget := r.U64()
-	stream := history.Stream(r.U8())
-	indexing := Indexing(r.U8())
-	historyBits := r.U64()
-	useful := r.Bool()
-	var usefulReset uint64
-	if useful {
-		usefulReset = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if entries != uint64(g.cfg.Entries) || phts != uint64(g.cfg.PHTs) ||
-		assoc != uint64(maxInt(1, g.cfg.Assoc)) || tagged != g.cfg.Tagged ||
-		pathLength != uint64(g.cfg.PathLength) || bitsPerTarget != uint64(g.cfg.BitsPerTarget) ||
-		stream != g.cfg.HistoryStream || indexing != g.cfg.Indexing ||
-		historyBits != uint64(g.cfg.historyBits()) ||
-		useful != g.cfg.Useful || usefulReset != g.cfg.UsefulResetPeriod {
-		return state.Mismatchf("GAp config %+v does not match snapshot fingerprint", g.cfg)
-	}
-	if err := r.End(); err != nil {
-		return err
-	}
-	for _, t := range g.tables {
-		if err := t.Restore(r); err != nil {
-			return err
-		}
-	}
-	return g.hist.LoadState(r)
-}
-
-// Snapshot implements state.Snapshotter.
-func (t *TargetCache) Snapshot(w *state.Writer) {
-	w.Begin(state.SecTargetCache)
-	w.U64(uint64(t.cfg.Entries))
-	w.U64(uint64(t.cfg.HistoryBits))
-	w.U64(uint64(t.cfg.BitsPerTarget))
-	w.U8(uint8(t.cfg.HistoryStream))
-	w.Bool(t.cfg.Tagged)
-	for i := range t.table {
-		e := &t.table[i]
-		w.Bool(e.valid)
-		if e.valid {
-			w.U64(e.tag)
-			w.U64(e.target)
-		}
-	}
-	w.End()
-	t.hist.SaveState(w)
-}
-
-// Restore implements state.Snapshotter, rebuilding the table in place.
-func (t *TargetCache) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecTargetCache); err != nil {
-		return err
-	}
-	entries := r.U64()
-	historyBits := r.U64()
-	bitsPerTarget := r.U64()
-	stream := history.Stream(r.U8())
-	tagged := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if entries != uint64(t.cfg.Entries) || historyBits != uint64(t.cfg.HistoryBits) ||
-		bitsPerTarget != uint64(t.cfg.BitsPerTarget) || stream != t.cfg.HistoryStream ||
-		tagged != t.cfg.Tagged {
-		return state.Mismatchf("target cache config %+v does not match snapshot fingerprint", t.cfg)
+// Walk implements state.Snapshotter.
+func (t *TargetCache) Walk(c *state.Codec) {
+	c.Begin(state.SecTargetCache)
+	c.Match(uint64(t.cfg.Entries))
+	c.Match(uint64(t.cfg.HistoryBits))
+	c.Match(uint64(t.cfg.BitsPerTarget))
+	c.MatchU8(uint8(t.cfg.HistoryStream))
+	c.MatchBool(t.cfg.Tagged)
+	if c.Loading() {
+		clear(t.table)
 	}
 	for i := range t.table {
-		e := &t.table[i]
-		if !r.Bool() {
-			*e = tcEntry{}
-			continue
+		if e := &t.table[i]; c.Bool(&e.valid) {
+			c.U64Max(&e.tag, 1<<tcTagBits-1)
+			c.U64(&e.target)
 		}
-		tag := r.U64()
-		target := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		*e = tcEntry{valid: true, tag: tag, target: target}
 	}
-	if err := r.End(); err != nil {
-		return err
-	}
-	return t.hist.LoadState(r)
+	c.End()
+	t.hist.Walk(c)
 }
 
-// Snapshot implements state.Snapshotter: the selector section followed by
-// the short and long components.
-func (d *DualPath) Snapshot(w *state.Writer) {
-	w.Begin(state.SecDualPath)
-	w.U64(uint64(len(d.selectors)))
-	for _, s := range d.selectors {
-		w.U8(s)
-	}
-	w.End()
-	d.short.Snapshot(w)
-	d.long.Snapshot(w)
-}
-
-// Restore implements state.Snapshotter.
-func (d *DualPath) Restore(r *state.Reader) error {
-	if err := r.Begin(state.SecDualPath); err != nil {
-		return err
-	}
-	if n := r.U64(); n != uint64(len(d.selectors)) {
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return state.Mismatchf("dual-path has %d selectors, snapshot %d", len(d.selectors), n)
-	}
+// Walk implements state.Snapshotter: the selector section followed by the
+// short and long components.
+func (d *DualPath) Walk(c *state.Codec) {
+	c.Begin(state.SecDualPath)
+	c.Match(uint64(len(d.selectors)))
 	for i := range d.selectors {
-		v := r.U8()
-		if r.Err() == nil && v > 3 {
-			return state.Corruptf("dual-path selector %d out of 2-bit range", v)
-		}
-		d.selectors[i] = v
+		c.U8Max(&d.selectors[i], 3) // 2-bit tournament counter
 	}
-	if err := r.End(); err != nil {
-		return err
-	}
-	if err := d.short.Restore(r); err != nil {
-		return err
-	}
-	return d.long.Restore(r)
+	c.End()
+	d.short.Walk(c)
+	d.long.Walk(c)
 }
 
 var (

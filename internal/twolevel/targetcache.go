@@ -86,11 +86,14 @@ func (t *TargetCache) index(pc uint64) uint64 {
 	return hashing.GShare(t.hist.Packed(), pc, bits)
 }
 
+// tcTagBits is the width of the mixed tags the table stores.
+const tcTagBits = 24
+
 // Predict implements predictor.IndirectPredictor.
 func (t *TargetCache) Predict(pc uint64) (uint64, bool) {
 	idx := t.index(pc)
 	t.pending = idx
-	t.pendingTag = hashing.Mix64(pc>>2) >> 40
+	t.pendingTag = hashing.Mix64(pc>>2) >> (64 - tcTagBits)
 	e := t.table[idx] //lint:idxsafe GShare truncates to floor(log2(len(table))) bits, so idx < len(table)
 	if !e.valid {
 		return 0, false

@@ -8,13 +8,17 @@
 #   2. downloads the trained snapshot and restores it into a second, fresh
 #      session; re-downloading that session's state must return the snapshot
 #      byte-for-byte;
-#   3. streams the same continuation run through both sessions: the NDJSON
+#   3. restores the snapshot into a session of another family and a
+#      byte-flipped copy into a fresh PPM-hyb session: ppmctl must exit
+#      non-zero on the 409 (configuration mismatch) and the 400 (corrupt
+#      snapshot) — the typed restore failures, proven through the daemon;
+#   4. streams the same continuation run through both sessions: the NDJSON
 #      prediction streams (session ids blanked) and the final snapshots must
 #      be byte-identical — the warm-start contract, proven over a real
 #      socket rather than in-process;
-#   4. checks the stats surface counted the sessions, saves, loads and
-#      streamed records;
-#   5. SIGTERMs the daemon with both sessions live: the drain must complete
+#   5. checks the stats surface counted the sessions, saves, loads, rejected
+#      snapshots and streamed records;
+#   6. SIGTERMs the daemon with both sessions live: the drain must complete
 #      cleanly (exit 0, "draining"/"stopped" on stderr).
 set -eu
 
@@ -83,7 +87,38 @@ if ! cmp -s "$tmp/a.state" "$tmp/b.state"; then
     exit 1
 fi
 
-# 3. Identical continuation: the same run streamed through the original and
+# 3. Typed restore failures: the PPM-hyb snapshot into a BTB session is a
+#    configuration mismatch (HTTP 409); a copy with one payload byte flipped
+#    fails its section CRC (HTTP 400). Both sessions are closed afterwards,
+#    since a failed restore leaves a session partially overwritten.
+expect_restore_fail() { # session-id snapshot-file http-status
+    rc=0
+    "$tmp/ppmctl" -server "$server" session restore "$1" "$2" >/dev/null 2>"$tmp/restore.err" || rc=$?
+    if [ "$rc" -eq 0 ] || ! grep -q "HTTP $3" "$tmp/restore.err"; then
+        echo "session-smoke: restoring $2 exited $rc, want a failure naming HTTP $3:" >&2
+        cat "$tmp/restore.err" >&2
+        exit 1
+    fi
+}
+"$tmp/ppmctl" -server "$server" session create -predictor BTB >"$tmp/c.json"
+c="$(sid "$tmp/c.json")"
+expect_restore_fail "$c" "$tmp/a.state" 409
+cp "$tmp/a.state" "$tmp/flipped.state"
+off=12 # inside the first section's payload, past its id and length
+byte="$(od -An -tu1 -j $off -N1 "$tmp/a.state" | tr -d ' ')"
+printf "\\$(printf %o $((byte ^ 0x41)))" | dd of="$tmp/flipped.state" bs=1 seek=$off conv=notrunc 2>/dev/null
+if cmp -s "$tmp/a.state" "$tmp/flipped.state"; then
+    echo "session-smoke: the flipped snapshot equals the original" >&2
+    exit 1
+fi
+"$tmp/ppmctl" -server "$server" session create -predictor PPM-hyb >"$tmp/d.json"
+d="$(sid "$tmp/d.json")"
+expect_restore_fail "$d" "$tmp/flipped.state" 400
+for s in "$c" "$d"; do
+    "$tmp/ppmctl" -server "$server" session close "$s" >/dev/null
+done
+
+# 4. Identical continuation: the same run streamed through the original and
 #    the restored session must produce byte-identical prediction streams
 #    (ids blanked) and byte-identical final snapshots.
 for s in "$a" "$b"; do
@@ -101,9 +136,9 @@ if ! cmp -s "$tmp/a2.state" "$tmp/b2.state"; then
     exit 1
 fi
 
-# 4. The stats surface counted the session traffic.
+# 5. The stats surface counted the session traffic.
 "$tmp/ppmctl" -server "$server" stats >"$tmp/stats.json"
-for want in '"sessions_created":2' '"live_sessions":2' '"state_loads":1' '"state_saves":4'; do
+for want in '"sessions_created":4' '"live_sessions":2' '"state_loads":1' '"state_saves":4' '"bad_state":2'; do
     if ! grep -q "$want" "$tmp/stats.json"; then
         echo "session-smoke: /statsz missing $want:" >&2
         cat "$tmp/stats.json" >&2
@@ -115,7 +150,7 @@ if grep -q '"predict_records":0,' "$tmp/stats.json"; then
     exit 1
 fi
 
-# 5. Graceful shutdown with both sessions live.
+# 6. Graceful shutdown with both sessions live.
 kill -TERM "$pid"
 rc=0
 wait "$pid" || rc=$?
