@@ -5,7 +5,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen gates gates-update grid-smoke serve-smoke session-smoke check-quick check check-ittage fuzz-smoke ci
+.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen gates gates-update grid-smoke serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -88,9 +88,10 @@ session-smoke:
 
 lint: fmt vet ppmlint
 
-# The correctness harness's bounded CI pass: regression-corpus replay, a
-# differential hunt of every predictor family against its naive reference,
-# the metamorphic identities (blocks vs records across worker counts and
+# The correctness harness's bounded CI pass: regression-corpus replay, the
+# three lock-step hunts of check.Hunts (every predictor family against its
+# naive reference, block engine against record engine, snapshot/restore at
+# every cut against the uncut run), the metamorphic identities (blocks vs records across worker counts and
 # cache budgets, served vs serial, split vs concat sessions, upload vs
 # batch), and byte-offset fault sweeps over the trace decoder and the upload
 # endpoint.
@@ -104,10 +105,16 @@ check:
 
 # Focused hunt for the modern predictor family: ITTAGE's incrementally
 # folded geometric-history state and the u-bit cascade, lock-stepped against
-# their bit-by-bit reference oracles — differential, blocks-vs-records and
-# snapshot-restore hunts all included via the shared family registry.
+# their bit-by-bit reference oracles — every row of check.Hunts
+# (differential, blocks-vs-records, snapshot-restore) restricted to them.
 check-ittage:
 	$(GO) run ./cmd/ppmcheck -families ITTAGE,Cascade-u -seeds 40 -events 2500
+
+# The benchmark is its own module, so the root build, vet and tests skip it,
+# yet it compiles against check, sim, sched, serve, state and trace: vet it
+# and run its smoke tests against the tree's current API.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz slices keep the parsers honest without turning CI into a
 # fuzzing farm: the IBT2 trace reader (differential against a byte-at-a-time
@@ -124,4 +131,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSessionPredict -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzUpload -fuzztime=$(FUZZTIME) ./internal/serve
 
-ci: build lint gates race grid-smoke serve-smoke session-smoke check-quick check-ittage fuzz-smoke
+ci: build lint gates race grid-smoke serve-smoke session-smoke check-quick check-ittage bench-smoke fuzz-smoke

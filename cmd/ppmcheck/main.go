@@ -9,13 +9,14 @@
 //
 //	ppmcheck -quick              the bounded CI pass (corpus + small sweeps)
 //	ppmcheck -seeds 500          a long differential hunt
-//	ppmcheck -families PPM-hyb   restrict the differential hunt
+//	ppmcheck -families PPM-hyb   restrict every hunt to these families
 //	ppmcheck -corpus DIR         corpus location (default internal/check/testdata/corpus)
 //
-// When the differential oracle finds a divergence, ppmcheck minimizes the
-// failing trace with delta debugging, writes it into the corpus as a new
-// seed (diff-<family>-seed<N>), and exits nonzero: the bug becomes a
-// regression test before it is even fixed.
+// The three hunts are the rows of check.Hunts, run by one loop. When a hunt
+// finds a divergence, ppmcheck minimizes the failing trace with delta
+// debugging, writes it into the corpus as a new seed
+// (<kind>-<family>-seed<N>, kind diff, blocks or state), and exits nonzero:
+// the bug becomes a regression test before it is even fixed.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/check"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -41,20 +41,16 @@ func main() {
 	if *quick {
 		*seeds, *events = 6, 800
 	}
-	fams := check.Families()
-	// The snapshot hunt also covers the snapshot-capable extension
-	// predictors; -families restricts both hunts to the same list.
-	stateFams := check.StateFamilies()
-	if *families != "" {
-		fams = strings.Split(*families, ",")
-		stateFams = fams
+	ok := replayCorpus(*corpus)
+	for _, h := range check.Hunts {
+		// Each hunt covers its own families; -families restricts every
+		// hunt to the same list.
+		fams := h.Families
+		if *families != "" {
+			fams = strings.Split(*families, ",")
+		}
+		ok = hunt(h, fams, *seeds, *events, *corpus) && ok
 	}
-
-	ok := true
-	ok = replayCorpus(*corpus) && ok
-	ok = diffHunt(fams, *seeds, *events, *corpus) && ok
-	ok = blocksHunt(fams, *seeds, *events, *corpus) && ok
-	ok = stateHunt(stateFams, *seeds, *events, *corpus) && ok
 	ok = run("metamorphic", check.Metamorphic(1, *events)) && ok
 	ok = run("truncation sweep", check.TruncationSweep(check.RandomRecords(9, 60), nil)) && ok
 	ok = run("errafter sweep", check.ErrAfterSweep(check.RandomRecords(9, 60))) && ok
@@ -95,133 +91,29 @@ func replayCorpus(dir string) bool {
 	return ok
 }
 
-// diffHunt lock-steps every family against its reference over randomized
-// traces; a divergence is minimized and written back into the corpus.
-func diffHunt(fams []string, seeds, events int, corpusDir string) bool {
+// hunt runs one row of check.Hunts over randomized traces for every
+// family; each divergence is minimized and written back into the corpus.
+func hunt(h check.Hunt, fams []string, seeds, events int, corpusDir string) bool {
 	ok := true
 	for _, fam := range fams {
-		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			for _, in := range []struct {
-				kind string
-				recs []trace.Record
-			}{
-				{"workload", check.RandomTrace(seed, events)},
-				{"raw", check.RandomRecords(seed, events)},
-			} {
-				d, err := check.DiffFamily(fam, in.recs)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "FAIL differential %s: %v\n", fam, err)
-					return false
-				}
-				if d == nil {
-					continue
-				}
-				ok = false
-				min := check.Shrink(in.recs, func(r []trace.Record) bool { return check.Diverges(fam, r) })
-				fmt.Fprintf(os.Stderr, "FAIL differential %s (%s seed %d): %s\n  minimized to %d records\n", fam, in.kind, seed, d, len(min))
-				seedName := fmt.Sprintf("diff-%s-seed%d", strings.ToLower(fam), seed)
-				werr := check.WriteSeed(corpusDir, check.Seed{
-					Name: seedName, Family: fam, Kind: "diff",
-					Note: fmt.Sprintf("minimized divergence found by ppmcheck (%s stream, seed %d)", in.kind, seed),
-				}, min)
-				if werr != nil {
-					fmt.Fprintf(os.Stderr, "  (could not write corpus seed: %v)\n", werr)
-				} else {
-					fmt.Fprintf(os.Stderr, "  repro written to %s/%s.{json,ibt2}\n", corpusDir, seedName)
-				}
+		found, err := h.Search(fam, seeds, events)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "FAIL %s %s: %v\n", h.Label, fam, err)
+			return false
+		}
+		for _, f := range found {
+			ok = false
+			fmt.Fprintf(os.Stderr, "FAIL %s %s (%s seed %d): %s\n  minimized to %d records\n", h.Label, fam, f.Stream, f.Seed, f.Detail, len(f.Recs))
+			s := h.CorpusSeed(f)
+			if err := check.WriteSeed(corpusDir, s, f.Recs); err != nil {
+				fmt.Fprintf(os.Stderr, "  (could not write corpus seed: %v)\n", err)
+			} else {
+				fmt.Fprintf(os.Stderr, "  repro written to %s/%s.{json,ibt2}\n", corpusDir, s.Name)
 			}
 		}
 	}
 	if ok {
-		fmt.Printf("ok   differential (%d families x %d seeds x 2 streams)\n", len(fams), seeds)
-	}
-	return ok
-}
-
-// blocksHunt lock-steps every family's block-engine replay against its
-// record-engine replay over randomized traces; a divergence is minimized
-// against the block predicate and written back into the corpus.
-func blocksHunt(fams []string, seeds, events int, corpusDir string) bool {
-	ok := true
-	for _, fam := range fams {
-		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			for _, in := range []struct {
-				kind string
-				recs []trace.Record
-			}{
-				{"workload", check.RandomTrace(seed, events)},
-				{"raw", check.RandomRecords(seed, events)},
-			} {
-				d, err := check.DiffBlocks(fam, in.recs)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "FAIL blocks-vs-records %s: %v\n", fam, err)
-					return false
-				}
-				if d == nil {
-					continue
-				}
-				ok = false
-				min := check.Shrink(in.recs, func(r []trace.Record) bool { return check.DivergesBlocks(fam, r) })
-				fmt.Fprintf(os.Stderr, "FAIL blocks-vs-records %s (%s seed %d): %s\n  minimized to %d records\n", fam, in.kind, seed, d, len(min))
-				seedName := fmt.Sprintf("blocks-%s-seed%d", strings.ToLower(fam), seed)
-				werr := check.WriteSeed(corpusDir, check.Seed{
-					Name: seedName, Family: fam, Kind: "blocks",
-					Note: fmt.Sprintf("minimized block-engine divergence found by ppmcheck (%s stream, seed %d)", in.kind, seed),
-				}, min)
-				if werr != nil {
-					fmt.Fprintf(os.Stderr, "  (could not write corpus seed: %v)\n", werr)
-				} else {
-					fmt.Fprintf(os.Stderr, "  repro written to %s/%s.{json,ibt2}\n", corpusDir, seedName)
-				}
-			}
-		}
-	}
-	if ok {
-		fmt.Printf("ok   blocks-vs-records (%d families x %d seeds x 2 streams)\n", len(fams), seeds)
-	}
-	return ok
-}
-
-// stateHunt lock-steps every family's snapshot/restore-at-every-cut chain
-// against its uncut replay over randomized traces; a divergence is minimized
-// against the snapshot predicate and written back into the corpus.
-func stateHunt(fams []string, seeds, events int, corpusDir string) bool {
-	ok := true
-	for _, fam := range fams {
-		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			for _, in := range []struct {
-				kind string
-				recs []trace.Record
-			}{
-				{"workload", check.RandomTrace(seed, events)},
-				{"raw", check.RandomRecords(seed, events)},
-			} {
-				d, err := check.DiffState(fam, in.recs)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "FAIL snapshot-restore %s: %v\n", fam, err)
-					return false
-				}
-				if d == nil {
-					continue
-				}
-				ok = false
-				min := check.Shrink(in.recs, func(r []trace.Record) bool { return check.DivergesState(fam, r) })
-				fmt.Fprintf(os.Stderr, "FAIL snapshot-restore %s (%s seed %d): %s\n  minimized to %d records\n", fam, in.kind, seed, d, len(min))
-				seedName := fmt.Sprintf("state-%s-seed%d", strings.ToLower(fam), seed)
-				werr := check.WriteSeed(corpusDir, check.Seed{
-					Name: seedName, Family: fam, Kind: "state",
-					Note: fmt.Sprintf("minimized snapshot/restore divergence found by ppmcheck (%s stream, seed %d)", in.kind, seed),
-				}, min)
-				if werr != nil {
-					fmt.Fprintf(os.Stderr, "  (could not write corpus seed: %v)\n", werr)
-				} else {
-					fmt.Fprintf(os.Stderr, "  repro written to %s/%s.{json,ibt2}\n", corpusDir, seedName)
-				}
-			}
-		}
-	}
-	if ok {
-		fmt.Printf("ok   snapshot-restore (%d families x %d seeds x 2 streams)\n", len(fams), seeds)
+		fmt.Printf("ok   %s (%d families x %d seeds x 2 streams)\n", h.Label, len(fams), seeds)
 	}
 	return ok
 }

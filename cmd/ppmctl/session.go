@@ -157,20 +157,7 @@ func encodeWorkload(name string, events int) ([]byte, error) {
 		cfg.Events = events
 	}
 	recs, _ := cfg.Records()
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return trace.Encode(recs)
 }
 
 func (c *client) sessionPredict(args []string, stdout, stderr io.Writer) int {

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cascade"
-	"repro/internal/cbt"
-	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/ittage"
 	"repro/internal/oracle"
@@ -33,20 +31,6 @@ import (
 // shrunken) traces still cross many block boundaries and the cross-block
 // state continuity of histories, RAS and selectors is on the hook.
 var blockDiffCaps = []int{trace.BlockCap, 7}
-
-// BlockDivergence records a disagreement between the record engine and the
-// block engine over the same trace.
-type BlockDivergence struct {
-	Family   string
-	BlockCap int
-	Detail   string
-}
-
-// String formats the divergence for bug reports.
-func (d *BlockDivergence) String() string {
-	return fmt.Sprintf("%s: block engine (cap %d) diverged from record engine: %s",
-		d.Family, d.BlockCap, d.Detail)
-}
 
 // enginesMatch compares every observable of two engines that replayed the
 // same trace: accounting, RAS accuracy and per-predictor counters.
@@ -148,32 +132,24 @@ func BlockEngineIdentity(recs []trace.Record, build func() []predictor.IndirectP
 	return nil
 }
 
-// DiffBlocks replays recs through a single predictor family under both
-// engines and returns the first divergence, in the observables or the
-// prediction lane, or nil if they agreed at every block capacity. An
-// unknown label is an error.
-func DiffBlocks(family string, recs []trace.Record) (*BlockDivergence, error) {
-	if _, ok := bench.NewPredictor(family); !ok {
+// diffBlocks holds a single family to BlockEngineIdentity and returns the
+// first divergence, or nil. An unknown label is an error. It is the check
+// of the "blocks" row of Hunts.
+func diffBlocks(family string, recs []trace.Record) (*Divergence, error) {
+	if _, ok := newFamily(family); !ok {
 		return nil, fmt.Errorf("check: unknown predictor family %q", family)
 	}
-	build := func() []predictor.IndirectPredictor {
-		p, _ := bench.NewPredictor(family)
-		return []predictor.IndirectPredictor{p}
-	}
-	rec, want := recordEngine(recs, build)
-	for _, bcap := range blockDiffCaps {
-		if err := blockEngineMatches(recs, build, bcap, rec, want); err != nil {
-			return &BlockDivergence{Family: family, BlockCap: bcap, Detail: err.Error()}, nil
-		}
-	}
-	return nil, nil
+	build := func() []predictor.IndirectPredictor { return newFamilies(family) }
+	return diverged(family, BlockEngineIdentity(recs, build)), nil
 }
 
-// DivergesBlocks reports whether the family's block replay disagrees with
-// its record replay — the predicate the shrinker minimizes against.
-func DivergesBlocks(family string, recs []trace.Record) bool {
-	d, err := DiffBlocks(family, recs)
-	return err == nil && d != nil
+// newFamilies builds one fresh predictor for each known family label.
+func newFamilies(names ...string) []predictor.IndirectPredictor {
+	ps := make([]predictor.IndirectPredictor, len(names))
+	for i, name := range names {
+		ps[i], _ = newFamily(name)
+	}
+	return ps
 }
 
 // BlocksVsRecords checks the full matrix contract: sched.SimulateBlocks
@@ -211,33 +187,22 @@ func BlocksVsRecords(suite []workload.Config, build func() []predictor.IndirectP
 // bench.PredictorNames order: the line-up BlockEngineIdentity holds to the
 // record engine beside ExtensionPredictors and StreamVariantPredictors.
 func BenchPredictors() []predictor.IndirectPredictor {
-	var ps []predictor.IndirectPredictor
-	for _, name := range bench.PredictorNames() {
-		p, _ := bench.NewPredictor(name)
-		ps = append(ps, p)
-	}
-	return ps
+	return newFamilies(Families()...)
 }
 
 // ExtensionPredictors builds the predictor set of the extension experiments
 // that carry their own batch fast paths but sit outside the bench families:
-// the value-keyed CBT (ValueAware, so the Value lane is on the hook), the
-// leaky-filtered PPM, the multi-target Markov stack, and two members the
-// engine replays through its record-at-a-time fallback inside a block: the
-// unbounded oracle, and a BTB2b with its block path hidden (recordOnlyName).
+// the extension families (the value-keyed CBT is ValueAware, so the Value
+// lane is on the hook), and two members the engine replays through its
+// record-at-a-time fallback inside a block: the unbounded oracle, and a
+// BTB2b with its block path hidden (recordOnlyName).
 // The oracle abstains on almost every dispatch of a short trace, so only
 // the BTB2b puts predicted targets on the fallback's prediction lane.
 // BlockEngineIdentity over this set pins all of them to the record engine
 // at every block capacity.
 func ExtensionPredictors() []predictor.IndirectPredictor {
 	b, _ := bench.NewPredictor("BTB2b")
-	return []predictor.IndirectPredictor{
-		cbt.New(cbt.Config{Entries: 2048, Availability: 0.5, Seed: 0xCB7}),
-		core.PaperFiltered(),
-		core.NewMultiTarget(10, 4),
-		oracle.New(8),
-		recordOnly{b},
-	}
+	return append(newFamilies(extensionFamilies...), oracle.New(8), recordOnly{b})
 }
 
 // recordOnlyName labels the ExtensionPredictors member that predicts

@@ -2,11 +2,16 @@
 // harness. For every predictor family of Figures 6 and 7 it keeps a naive,
 // obviously-correct reference implementation — maps instead of arrays,
 // bit-slice hashes instead of shift tricks, histories recomputed from
-// scratch instead of incrementally maintained registers — and runs it in
-// lock-step against the optimized simulator over randomized traces. Any
-// step where the two disagree on the (target, valid) prediction tuple is a
-// bug in one of the two; the harness shrinks the trace to a minimal
-// reproduction and the corpus under testdata/ pins every bug ever found.
+// scratch instead of incrementally maintained registers.
+//
+// Its lock-step differentials are the rows of one table, Hunts: each
+// family against its naive reference ("diff"), the block engine against
+// the record engine ("blocks"), and snapshot/restore at every cut against
+// the uncut run ("state"). Every row replays a trace through one family
+// two ways that must agree and reports the first Divergence; Search runs
+// a row over randomized traces and shrinks each failing trace to a
+// minimal reproduction, and the corpus under testdata/ pins every bug
+// ever found, replayed by ReplaySeed through the row its kind names.
 //
 // The package also hosts the metamorphic property runner (equivalences the
 // simulator must satisfy: same-seed byte identity, cache and parallelism
@@ -21,6 +26,7 @@ package check
 
 import (
 	"repro/internal/bench"
+	"repro/internal/cbt"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/predictor"
@@ -30,6 +36,30 @@ import (
 // Families lists the predictor labels the harness covers differentially:
 // every label the optimized registry accepts.
 func Families() []string { return bench.PredictorNames() }
+
+// extensionFamilies label the extension experiments' predictors that the
+// blocks and snapshot hunts cover beside the bench families: the
+// value-keyed CBT, the leaky-filtered PPM and the multi-target Markov
+// stack. They have no naive reference.
+var extensionFamilies = []string{"CBT", "PPM-filtered", "PPM-multi"}
+
+// engineFamilies lists the labels the blocks and snapshot hunts cover.
+func engineFamilies() []string { return append(Families(), extensionFamilies...) }
+
+// newFamily builds a fresh predictor for a bench or extension family
+// label, configured as the experiments configure it. Returns false for
+// unknown labels.
+func newFamily(name string) (predictor.IndirectPredictor, bool) {
+	switch name {
+	case "CBT":
+		return cbt.New(cbt.Config{Entries: 2048, Availability: 0.5, Seed: 0xCB7}), true
+	case "PPM-filtered":
+		return core.PaperFiltered(), true
+	case "PPM-multi":
+		return core.NewMultiTarget(10, 4), true
+	}
+	return bench.NewPredictor(name)
+}
 
 // refPaperGAp restates the Section 5 GAp configuration for the reference
 // side. The literals are intentionally duplicated from the optimized

@@ -36,35 +36,6 @@ func TestCorpusReplay(t *testing.T) {
 	}
 }
 
-// TestDifferentialQuick lock-steps every predictor family against its
-// naive reference over a bounded set of randomized traces: structured
-// workloads and raw adversarial record streams.
-func TestDifferentialQuick(t *testing.T) {
-	for _, fam := range Families() {
-		fam := fam
-		t.Run(fam, func(t *testing.T) {
-			for seed := uint64(1); seed <= quickSeeds; seed++ {
-				for _, in := range []struct {
-					kind string
-					recs []trace.Record
-				}{
-					{"workload", RandomTrace(seed, quickEvents)},
-					{"raw", RandomRecords(seed, quickEvents)},
-				} {
-					d, err := DiffFamily(fam, in.recs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d != nil {
-						min := Shrink(in.recs, func(r []trace.Record) bool { return Diverges(fam, r) })
-						t.Fatalf("%s seed %d: %s\nminimized to %d records: %v", in.kind, seed, d, len(min), min)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestReferenceRegistryCoversAllFamilies pins the acceptance criterion that
 // the harness differentially covers every Figure 6/7 label.
 func TestReferenceRegistryCoversAllFamilies(t *testing.T) {

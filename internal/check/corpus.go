@@ -24,8 +24,12 @@ import (
 
 // Seed describes one corpus entry. Kind selects the replay procedure:
 //
-//   - "diff": replay the companion trace through DiffFamily for Family
-//     (or every family when Family is empty) and require agreement.
+//   - "diff", "blocks", "state": replay the companion trace through the
+//     Hunts row of that kind for Family (or every family of the row when
+//     Family is empty) and require agreement — the optimized predictor
+//     with its naive reference, the block engine with the record engine
+//     at every probed block capacity, and snapshot/restore at every probed
+//     cut cadence with the uncut run.
 //   - "sfsx-longpath": hash the companion trace's targets as one long SFSX
 //     path; flipping bit Params["flipbit"] of the last target must change
 //     the hash (the long-path contribution-loss bug).
@@ -37,12 +41,6 @@ import (
 //     (Params: smallseed/smallevents/bigseed/bigevents) under a budget of
 //     Params["budgetsmalls"] small entries; the oversized trace must be
 //     served correctly without evicting residents (the LRU-thrash bug).
-//   - "blocks": replay the companion trace through DiffBlocks for Family
-//     (or every family when Family is empty); the block engine must agree
-//     with the record engine at every probed block capacity.
-//   - "state": replay the companion trace through DiffState for Family
-//     (or every snapshot family when Family is empty); snapshotting and
-//     restoring at every probed cut cadence must match the uncut run.
 type Seed struct {
 	Name   string           `json:"name"`
 	Family string           `json:"family,omitempty"`
@@ -78,20 +76,11 @@ func WriteSeed(dir string, s Seed, recs []trace.Record) error {
 	if recs == nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	data, err := trace.Encode(recs)
 	if err != nil {
 		return err
 	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, s.Name+".ibt2"), buf.Bytes(), 0o644)
+	return os.WriteFile(filepath.Join(dir, s.Name+".ibt2"), data, 0o644)
 }
 
 // LoadSeeds reads every seed in dir, sorted by name so replay order is
@@ -150,55 +139,13 @@ func (s Seed) param(key string, def int64) int64 {
 // ReplaySeed re-runs one corpus entry and returns an error if the bug it
 // pins has resurfaced.
 func ReplaySeed(e SeedEntry) error {
+	if h, ok := huntOf(e.Seed.Kind); ok {
+		if err := h.replay(e.Seed.Family, e.Recs); err != nil {
+			return fmt.Errorf("seed %s: %w", e.Seed.Name, err)
+		}
+		return nil
+	}
 	switch e.Seed.Kind {
-	case "diff":
-		families := Families()
-		if e.Seed.Family != "" {
-			families = []string{e.Seed.Family}
-		}
-		for _, fam := range families {
-			d, err := DiffFamily(fam, e.Recs)
-			if err != nil {
-				return fmt.Errorf("seed %s: %w", e.Seed.Name, err)
-			}
-			if d != nil {
-				return fmt.Errorf("seed %s: %s", e.Seed.Name, d)
-			}
-		}
-		return nil
-
-	case "blocks":
-		families := Families()
-		if e.Seed.Family != "" {
-			families = []string{e.Seed.Family}
-		}
-		for _, fam := range families {
-			d, err := DiffBlocks(fam, e.Recs)
-			if err != nil {
-				return fmt.Errorf("seed %s: %w", e.Seed.Name, err)
-			}
-			if d != nil {
-				return fmt.Errorf("seed %s: %s", e.Seed.Name, d)
-			}
-		}
-		return nil
-
-	case "state":
-		families := StateFamilies()
-		if e.Seed.Family != "" {
-			families = []string{e.Seed.Family}
-		}
-		for _, fam := range families {
-			d, err := DiffState(fam, e.Recs)
-			if err != nil {
-				return fmt.Errorf("seed %s: %w", e.Seed.Name, err)
-			}
-			if d != nil {
-				return fmt.Errorf("seed %s: %s", e.Seed.Name, d)
-			}
-		}
-		return nil
-
 	case "sfsx-longpath":
 		if len(e.Recs) == 0 {
 			return fmt.Errorf("seed %s: no trace", e.Seed.Name)
@@ -222,20 +169,11 @@ func ReplaySeed(e SeedEntry) error {
 		return nil
 
 	case "readall-hint":
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf)
+		data, err := trace.Encode(e.Recs)
 		if err != nil {
 			return err
 		}
-		for _, r := range e.Recs {
-			if err := w.Write(r); err != nil {
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+		r, err := trace.NewReader(bytes.NewReader(data))
 		if err != nil {
 			return err
 		}

@@ -33,11 +33,11 @@ import (
 func SameSeedIdentity(cfg workload.Config) error {
 	recsA, sumA := cfg.Records()
 	recsB, sumB := cfg.Records()
-	encA, err := encodeTrace(recsA)
+	encA, err := trace.Encode(recsA)
 	if err != nil {
 		return err
 	}
-	encB, err := encodeTrace(recsB)
+	encB, err := trace.Encode(recsB)
 	if err != nil {
 		return err
 	}
@@ -131,7 +131,7 @@ func UploadVsSerial(recs []trace.Record, predictors []string) error {
 	_, ts, shutdown := startServer()
 	defer shutdown()
 
-	enc, err := encodeTrace(recs)
+	enc, err := trace.Encode(recs)
 	if err != nil {
 		return err
 	}
@@ -196,8 +196,9 @@ func Metamorphic(seed uint64, events int) error {
 			}
 		}
 	}
-	if err := StateIdentity(RandomTrace(seed+4, events)); err != nil {
-		return err
+	snap, _ := huntOf("state")
+	if err := snap.replay("", RandomTrace(seed+4, events)); err != nil {
+		return fmt.Errorf("state identity: %w", err)
 	}
 	workloads := []string{"troff.ped", "eqn"}
 	if err := ServedVsSerial(workloads, events, "fig6"); err != nil {
@@ -210,24 +211,6 @@ func Metamorphic(seed uint64, events int) error {
 }
 
 // --- helpers ---------------------------------------------------------------
-
-// encodeTrace serializes records as an in-memory IBT2 stream.
-func encodeTrace(recs []trace.Record) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // startServer boots a serve.Server on an httptest listener with quick-test
 // sizing; the returned shutdown drains it. Shutdown is idempotent so sweeps

@@ -21,17 +21,11 @@ func TestDifferentialBoundedBIU(t *testing.T) {
 			cfg := core.DefaultConfig(mode)
 			cfg.BIULimit = limit
 			for seed := uint64(1); seed <= quickSeeds; seed++ {
-				for _, in := range []struct {
-					kind string
-					recs []trace.Record
-				}{
-					{"workload", RandomTrace(seed, quickEvents)},
-					{"raw", RandomRecords(seed, quickEvents)},
-				} {
+				for _, in := range streams(seed, quickEvents) {
 					name := fmt.Sprintf("%v limit %d %s seed %d", mode, limit, in.kind, seed)
 					rec, ref := core.New(cfg), NewRefPPM(cfg)
-					if d := diffPair(mode.String(), rec, ref, in.recs); d != nil {
-						t.Fatalf("%s: %s", name, d)
+					if err := diffPair(rec, ref, in.recs); err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
 					if err := sameBIU(rec, ref); err != nil {
 						t.Fatalf("%s, record engine: %v", name, err)

@@ -4,10 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/internal/bench"
-	"repro/internal/cbt"
-	"repro/internal/core"
-	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/state"
 	"repro/internal/trace"
@@ -20,60 +16,20 @@ import (
 // stopping — per-dispatch predictions, accounting counters and the final
 // serialized bytes all included.
 
-// stateExtensions are the snapshot-capable predictors outside the bench
-// families that the hunt also covers. The oracle is excluded on purpose:
-// it is unbounded and deliberately not a Snapshotter.
-var stateExtensions = []string{"CBT", "PPM-filtered", "PPM-multi"}
-
-// StateFamilies lists every predictor label the snapshot differential
-// covers: the bench families plus the snapshot-capable extensions.
-func StateFamilies() []string {
-	return append(Families(), stateExtensions...)
-}
-
-// newStatePredictor builds a fresh predictor for a snapshot-family label.
-// Extension labels pin the same configurations the experiments and the
-// block-engine suite use.
-func newStatePredictor(family string) (predictor.IndirectPredictor, bool) {
-	switch family {
-	case "CBT":
-		return cbt.New(cbt.Config{Entries: 2048, Availability: 0.5, Seed: 0xCB7}), true
-	case "PPM-filtered":
-		return core.PaperFiltered(), true
-	case "PPM-multi":
-		return core.NewMultiTarget(10, 4), true
-	}
-	return bench.NewPredictor(family)
-}
-
-// StateDivergence records a snapshot/restore chain disagreeing with the
-// uncut run of the same trace.
-type StateDivergence struct {
-	Family   string
-	CutEvery int
-	Detail   string
-}
-
-// String formats the divergence for bug reports.
-func (d *StateDivergence) String() string {
-	return fmt.Sprintf("%s: snapshot/restore chain (cut every %d records) diverged from the uncut run: %s",
-		d.Family, d.CutEvery, d.Detail)
-}
-
 // statePool is the shared pool the differential snapshots through, mirroring
 // the serving layer's pooled save/restore path.
 var statePool = state.NewPool()
 
-// DiffState replays recs through a single predictor family twice: once
+// diffState replays recs through a single predictor family twice: once
 // uncut, and once snapshotting at every cut boundary — serialize through a
 // pooled writer, restore into a brand-new engine through a pooled reader,
 // and continue on the restored engine. Chaining the restore at every
 // boundary makes one pass cover every cut point at once. Cut cadences come
 // from blockDiffCaps, so shrunken traces still cross many boundaries.
 // Returns the first divergence, or nil if every cadence agreed. An unknown
-// label is an error.
-func DiffState(family string, recs []trace.Record) (*StateDivergence, error) {
-	p, ok := newStatePredictor(family)
+// label is an error. It is the check of the "state" row of Hunts.
+func diffState(family string, recs []trace.Record) (*Divergence, error) {
+	p, ok := newFamily(family)
 	if !ok {
 		return nil, fmt.Errorf("check: unknown predictor family %q", family)
 	}
@@ -87,20 +43,17 @@ func DiffState(family string, recs []trace.Record) (*StateDivergence, error) {
 	refFinal := state.SaveBytes(ref)
 
 	for _, cut := range blockDiffCaps {
-		if d := diffStateAtCut(family, recs, cut, refPreds, refFinal, ref); d != nil {
-			return d, nil
+		if err := chainMatches(family, recs, cut, refPreds, refFinal, ref); err != nil {
+			return diverged(family, fmt.Errorf("snapshot/restore chain (cut every %d records): %w", cut, err)), nil
 		}
 	}
 	return nil, nil
 }
 
-// diffStateAtCut runs the chained snapshot/restore replay at one cut
-// cadence and compares it against the uncut reference run.
-func diffStateAtCut(family string, recs []trace.Record, cut int, refPreds []sim.Prediction, refFinal []byte, ref *sim.Engine) *StateDivergence {
-	fail := func(format string, args ...any) *StateDivergence {
-		return &StateDivergence{Family: family, CutEvery: cut, Detail: fmt.Sprintf(format, args...)}
-	}
-	p, _ := newStatePredictor(family)
+// chainMatches runs the chained snapshot/restore replay at one cut cadence
+// and compares it against the uncut reference run.
+func chainMatches(family string, recs []trace.Record, cut int, refPreds []sim.Prediction, refFinal []byte, ref *sim.Engine) error {
+	p, _ := newFamily(family)
 	live := sim.New(p)
 	w := statePool.Writer()
 	defer statePool.PutWriter(w)
@@ -112,10 +65,10 @@ func diffStateAtCut(family string, recs []trace.Record, cut int, refPreds []sim.
 			// Save aliases the pooled writer's buffer; the immediate Load
 			// consumes it before the next boundary reuses the writer.
 			data := state.Save(live, w)
-			np, _ := newStatePredictor(family)
+			np, _ := newFamily(family)
 			restored := sim.New(np)
 			if err := state.Load(restored, r, data); err != nil {
-				return fail("restore at record %d: %v", i, err)
+				return fmt.Errorf("restore at record %d: %v", i, err)
 			}
 			live = restored
 		}
@@ -124,44 +77,21 @@ func diffStateAtCut(family string, recs []trace.Record, cut int, refPreds []sim.
 			continue
 		}
 		if next >= len(refPreds) {
-			return fail("record %d: chained run dispatched more predictions than the uncut run", i)
+			return fmt.Errorf("record %d: chained run dispatched more predictions than the uncut run", i)
 		}
 		if pr != refPreds[next] {
-			return fail("record %d (dispatch %d): chained %+v vs uncut %+v", i, next, pr, refPreds[next])
+			return fmt.Errorf("record %d (dispatch %d): chained %+v vs uncut %+v", i, next, pr, refPreds[next])
 		}
 		next++
 	}
 	if next != len(refPreds) {
-		return fail("chained run made %d predictions, uncut run made %d", next, len(refPreds))
+		return fmt.Errorf("chained run made %d predictions, uncut run made %d", next, len(refPreds))
 	}
 	if err := enginesMatch(ref, live); err != nil {
-		return fail("%v", err)
+		return err
 	}
 	if !bytes.Equal(state.SaveBytes(live), refFinal) {
-		return fail("final snapshots differ")
-	}
-	return nil
-}
-
-// DivergesState reports whether the family's snapshot/restore chain
-// disagrees with its uncut run — the predicate the shrinker minimizes
-// against.
-func DivergesState(family string, recs []trace.Record) bool {
-	d, err := DiffState(family, recs)
-	return err == nil && d != nil
-}
-
-// StateIdentity runs the snapshot differential over every snapshot family on
-// one trace — the relation the metamorphic pass asserts.
-func StateIdentity(recs []trace.Record) error {
-	for _, fam := range StateFamilies() {
-		d, err := DiffState(fam, recs)
-		if err != nil {
-			return err
-		}
-		if d != nil {
-			return fmt.Errorf("state identity: %s", d)
-		}
+		return fmt.Errorf("final snapshots differ")
 	}
 	return nil
 }

@@ -56,11 +56,9 @@ func now() time.Time {
 // noted on it.
 type Config struct {
 	// MaxConcurrent bounds simulation cells running at once across every
-	// job (the backpressure semaphore). Default GOMAXPROCS.
+	// job (the backpressure semaphore) and is the sched.Pool width each job
+	// shards its cells over. Default GOMAXPROCS.
 	MaxConcurrent int
-	// Workers is the sched.Pool width each job shards its cells over.
-	// Default MaxConcurrent.
-	Workers int
 	// MaxActive bounds admitted-but-unfinished jobs; submissions beyond it
 	// are shed with 429. Default 8.
 	MaxActive int
@@ -97,9 +95,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers <= 0 {
-		c.Workers = c.MaxConcurrent
 	}
 	if c.MaxActive <= 0 {
 		c.MaxActive = 8
@@ -177,7 +172,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		cache:       tracecache.New(cfg.CacheBytes),
-		pool:        sched.New(cfg.Workers),
+		pool:        sched.New(cfg.MaxConcurrent),
 		sem:         make(chan struct{}, cfg.MaxConcurrent),
 		jobs:        make(map[string]*job),
 		sessions:    make(map[string]*session),

@@ -19,20 +19,11 @@ import (
 // encodeIBT2 serializes records in the wire format predict uploads use.
 func encodeIBT2(t testing.TB, recs []trace.Record) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	data, err := trace.Encode(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return data
 }
 
 // benchRecords materializes a workload's records for streaming.

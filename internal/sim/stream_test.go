@@ -37,20 +37,11 @@ func streamRecords(t *testing.T) []trace.Record {
 
 func encode(t *testing.T, recs []trace.Record) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	data, err := trace.Encode(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return data
 }
 
 // sequential is the reference: the same records through ProcessBlocks

@@ -74,6 +74,7 @@ func TestLoadRejectsCraftedSections(t *testing.T) {
 	hyb := func() state.Snapshotter { return core.PaperHyb() }
 	filtered := func() state.Snapshotter { return core.PaperFiltered() }
 	targetCache := func() state.Snapshotter { p, _ := bench.NewPredictor("TC-PIB"); return p.(state.Snapshotter) }
+	gap := func() state.Snapshotter { p, _ := bench.NewPredictor("GAp"); return p.(state.Snapshotter) }
 	cases := []struct {
 		name  string
 		build func() state.Snapshotter
@@ -99,6 +100,9 @@ func TestLoadRejectsCraftedSections(t *testing.T) {
 		// valid, tag, target
 		{"target cache tag of 24 bits", targetCache, state.SecTargetCache, "vvvbb", []uint64{1, 1<<24 - 1, 0x4000}, nil},
 		{"target cache tag of 25 bits", targetCache, state.SecTargetCache, "vvvbb", []uint64{1, 1 << 24, 0x4000}, state.ErrCorrupt},
+		// valid, tag, target, hysteresis, LRU stamp
+		{"GAp PHT tag of 24 bits", gap, state.SecPHT, "vvbbv", []uint64{1, 1<<24 - 1, 0x4000, 1, 0}, nil},
+		{"GAp PHT tag of 25 bits", gap, state.SecPHT, "vvbbv", []uint64{1, 1 << 24, 0x4000, 1, 0}, state.ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

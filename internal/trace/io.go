@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -111,6 +112,24 @@ func (w *Writer) Flush() error {
 		return w.err
 	}
 	return w.w.Flush()
+}
+
+// Encode serializes recs as one in-memory IBT2 stream.
+func Encode(recs []Record) ([]byte, error) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // windowSize is the Reader's byte window: one refill (a single Read on

@@ -10,20 +10,11 @@ import (
 // encodeRecords returns the IBT2 bytes of recs.
 func encodeRecords(t testing.TB, recs []Record) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	data, err := Encode(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return data
 }
 
 func TestReaderReset(t *testing.T) {

@@ -120,6 +120,7 @@ func NewGAp(cfg GApConfig) *GAp {
 		} else {
 			tables[i] = NewPHT(perTable, maxInt(1, cfg.Assoc), cfg.Tagged)
 		}
+		tables[i].maxTag = 1<<gapTagBits - 1
 	}
 	hb := cfg.historyBits()
 	return &GAp{
@@ -167,9 +168,12 @@ func (g *GAp) index(pc uint64) (*PHT, uint64, uint64) {
 	default:
 		idx = hashing.ReverseInterleave(g.hist.Packed(), g.cfg.historyBits(), pc, bits)
 	}
-	tag := hashing.Mix64(pc>>2) >> 40 // 24-bit tag for the tagged variants
+	tag := hashing.Mix64(pc>>2) >> (64 - gapTagBits)
 	return table, idx, tag
 }
+
+// gapTagBits is the width of the mixed tags the tagged variants store.
+const gapTagBits = 24
 
 // Predict implements predictor.IndirectPredictor.
 func (g *GAp) Predict(pc uint64) (uint64, bool) {

@@ -8,6 +8,7 @@ package twolevel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/counter"
 )
@@ -46,6 +47,10 @@ type PHT struct {
 	// every resetPeriod updates.
 	useful      bool
 	resetPeriod uint64
+
+	// maxTag bounds the tags Walk loads: the widest tag the table's owner
+	// makes. A bare table takes caller-chosen tags of any width.
+	maxTag uint64
 }
 
 // NewPHT builds a table with the given total number of entries and
@@ -69,7 +74,7 @@ func NewPHT(entries, assoc int, tagged bool) *PHT {
 	for i := range sets {
 		sets[i], backing = backing[:assoc], backing[assoc:]
 	}
-	return &PHT{sets: sets, assoc: assoc, tagged: tagged}
+	return &PHT{sets: sets, assoc: assoc, tagged: tagged, maxTag: math.MaxUint64}
 }
 
 // NewPHTUseful builds a tagged table whose replacement is governed by

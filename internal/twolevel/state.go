@@ -22,7 +22,7 @@ func (t *PHT) Walk(c *state.Codec) {
 		}
 		for i := range set {
 			if e := &set[i]; c.Bool(&e.valid) {
-				c.U64(&e.tag)
+				c.U64Max(&e.tag, t.maxTag)
 				c.U64(&e.target)
 				e.hyst.Walk(c)
 				c.U64(&e.lru)
