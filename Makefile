@@ -5,7 +5,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint fmt vet ppmlint lint-concurrency lint-codegen gates gates-update grid-smoke serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
+.PHONY: all build test race lint fmt vet ppmlint lint-concurrency gates gates-update grid-smoke serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -27,8 +27,8 @@ vet:
 	$(GO) vet ./...
 
 # The repository's own analyzers: ctxflow, determinism, falseshare,
-# golifetime, hotpath, idxmask, ifaceassert, ifacecall, lockorder, mustclose,
-# panicdoc, pow2mask.
+# golifetime, hotpath, ifaceassert, ifacecall, lockorder, mustclose,
+# panicdoc, pow2mask. Surviving bounds checks are the codegen gate's job.
 ppmlint:
 	$(GO) run ./cmd/ppmlint ./...
 
@@ -38,17 +38,11 @@ ppmlint:
 lint-concurrency:
 	$(GO) run ./cmd/ppmlint -run golifetime,ctxflow,lockorder,mustclose ./...
 
-# Just the codegen-adjacent analyzers — index-safety dataflow (idxmask) and
-# atomic cache-line layout (falseshare) — for a fast local pass over the
-# predictor tables. `make ppmlint` (via `make lint`) runs them too.
-lint-codegen:
-	$(GO) run ./cmd/ppmlint -run idxmask,falseshare ./...
-
 # Codegen budget gate over the hot set (internal/lint/hotset): fails when a
 # hot function gains a heap escape, a surviving bounds check or an inlining
 # refusal beyond internal/lint/codegen.baseline. One go build covers every
-# package with hot functions; the idxmask and hotpath analyzers point at
-# the fix.
+# package with hot functions; a key above budget lists the file:line of
+# each of its diagnostics, and the hotpath analyzer points at allocations.
 gates:
 	$(GO) run ./cmd/codegate
 

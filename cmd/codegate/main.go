@@ -9,9 +9,10 @@
 // internal/lint/codegen.baseline (see internal/lint/gate).
 //
 // A change that adds one of those to a hot function fails with an
-// added/removed diff naming the function; the idxmask and hotpath analyzers
-// point at the fix. Intentional changes are recorded with `make
-// gates-update` (codegate -update) and reviewed as a baseline diff.
+// added/removed diff naming the function, and under each key above budget
+// the file:line of every diagnostic charged to it. Intentional changes are
+// recorded with `make gates-update` (codegate -update) and reviewed as a
+// baseline diff.
 //
 // Usage:
 //
@@ -43,11 +44,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	current, npkgs, err := measure()
+	lines, npkgs, err := measure()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codegate:", err)
 		os.Exit(2)
 	}
+	current := gate.Counts(lines)
 	t := gate.Totals(current)
 	summary := fmt.Sprintf("%d escapes, %d bounds checks, %d non-inlinable functions across %d hot packages",
 		t[gate.Escape], t[gate.BCE], t[gate.Inline], npkgs)
@@ -71,16 +73,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "codegate: %v (run `make gates-update` to create the baseline)\n", err)
 		os.Exit(2)
 	}
-	if gate.Diff("codegate", current, budget, "make gates-update", os.Stdout, os.Stderr) {
+	if gate.Diff("codegate", lines, budget, "make gates-update", os.Stdout, os.Stderr) {
 		os.Exit(1)
 	}
 	fmt.Printf("codegate: %s within budget\n", summary)
 }
 
 // measure loads the module, builds its hot packages once with the
-// diagnostic flags, and returns the attributed counts and the number of
-// packages built.
-func measure() (map[string]int, int, error) {
+// diagnostic flags, and returns the attributed diagnostic lines and the
+// number of packages built.
+func measure() (map[string][]int, int, error) {
 	pkgs, err := lint.Load("", "./...")
 	if err != nil {
 		return nil, 0, err

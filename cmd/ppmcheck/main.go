@@ -9,12 +9,14 @@
 //
 //	ppmcheck -quick              the bounded CI pass (corpus + small sweeps)
 //	ppmcheck -seeds 500          a long differential hunt
-//	ppmcheck -families PPM-hyb   restrict every hunt to these families
+//	ppmcheck -families PPM-hyb   run each hunt over the listed families it covers
 //	ppmcheck -corpus DIR         corpus location (default internal/check/testdata/corpus)
 //
-// The three hunts are the rows of check.Hunts, run by one loop. When a hunt
-// finds a divergence, ppmcheck minimizes the failing trace with delta
-// debugging, writes it into the corpus as a new seed
+// The three hunts are the rows of check.Hunts, run by one loop; -families
+// runs each row over the listed families it covers, skips a row that
+// covers none of them, and rejects a name no row covers as a usage error.
+// When a hunt finds a divergence, ppmcheck minimizes the failing trace
+// with delta debugging, writes it into the corpus as a new seed
 // (<kind>-<family>-seed<N>, kind diff, blocks or state), and exits nonzero:
 // the bug becomes a regression test before it is even fixed.
 package main
@@ -23,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/check"
@@ -33,23 +36,25 @@ func main() {
 		quick    = flag.Bool("quick", false, "bounded pass: corpus replay, small differential/metamorphic/fault sweeps")
 		seeds    = flag.Int("seeds", 50, "random seeds per family for the differential hunt")
 		events   = flag.Int("events", 2000, "records per generated trace")
-		families = flag.String("families", "", "comma-separated predictor families (default all)")
+		families = flag.String("families", "", "comma-separated predictor families; each hunt runs those it covers (default all)")
 		corpus   = flag.String("corpus", "internal/check/testdata/corpus", "regression-seed corpus directory")
 	)
 	flag.Parse()
+	huntFams, err := huntFamilies(*families)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ppmcheck:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *quick {
 		*seeds, *events = 6, 800
 	}
 	ok := replayCorpus(*corpus)
-	for _, h := range check.Hunts {
-		// Each hunt covers its own families; -families restricts every
-		// hunt to the same list.
-		fams := h.Families
-		if *families != "" {
-			fams = strings.Split(*families, ",")
+	for i, h := range check.Hunts {
+		if len(huntFams[i]) > 0 {
+			ok = hunt(h, huntFams[i], *seeds, *events, *corpus) && ok
 		}
-		ok = hunt(h, fams, *seeds, *events, *corpus) && ok
 	}
 	ok = run("metamorphic", check.Metamorphic(1, *events)) && ok
 	ok = run("truncation sweep", check.TruncationSweep(check.RandomRecords(9, 60), nil)) && ok
@@ -59,6 +64,33 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("ppmcheck: all checks passed")
+}
+
+// huntFamilies returns, for each row of check.Hunts, the families the row
+// runs: every family it covers when list is empty, otherwise those of the
+// comma-separated list it covers, in list order. A listed family that no
+// row covers is an error.
+func huntFamilies(list string) ([][]string, error) {
+	fams := make([][]string, len(check.Hunts))
+	if list == "" {
+		for i, h := range check.Hunts {
+			fams[i] = h.Families
+		}
+		return fams, nil
+	}
+	for _, fam := range strings.Split(list, ",") {
+		covered := false
+		for i, h := range check.Hunts {
+			if slices.Contains(h.Families, fam) {
+				fams[i] = append(fams[i], fam)
+				covered = true
+			}
+		}
+		if !covered {
+			return nil, fmt.Errorf("no hunt covers predictor family %q", fam)
+		}
+	}
+	return fams, nil
 }
 
 // run reports one named check.

@@ -26,9 +26,6 @@
 //	             escapes a justified blocking op)
 //	mustclose    Close/Flush/Shutdown/Sync error returns must be checked
 //	             or explicitly discarded (//lint:closeerr escapes)
-//	idxmask      slice indices into predictor tables must be provably
-//	             in-bounds — a power-of-two mask, a modulus by len, or a
-//	             value compared against len (//lint:idxsafe escapes)
 //	falseshare   atomic counter fields may not share a cache line; pad each
 //	             to 64 bytes (//lint:shared escapes)
 //
@@ -52,7 +49,6 @@ import (
 	"repro/internal/lint/falseshare"
 	"repro/internal/lint/golifetime"
 	"repro/internal/lint/hotpath"
-	"repro/internal/lint/idxmask"
 	"repro/internal/lint/ifaceassert"
 	"repro/internal/lint/ifacecall"
 	"repro/internal/lint/lockorder"
@@ -67,7 +63,6 @@ var analyzers = []*lint.Analyzer{
 	falseshare.Analyzer,
 	golifetime.Analyzer,
 	hotpath.Analyzer,
-	idxmask.Analyzer,
 	ifaceassert.Analyzer,
 	ifacecall.Analyzer,
 	lockorder.Analyzer,
@@ -129,7 +124,7 @@ func main() {
 }
 
 // jsonDiag is the NDJSON shape of one finding. The escape field names the
-// analyzer's escape-hatch directive (e.g. "//lint:idxsafe <reason>"), or ""
+// analyzer's escape-hatch directive (e.g. "//lint:coldpath <reason>"), or ""
 // when the analyzer has none.
 type jsonDiag struct {
 	File     string `json:"file"`

@@ -106,10 +106,10 @@ func (b *BTB) ProcessBlock(blk *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts := blk.PC, blk.Target
 	mt := blk.MTIdx[:len(preds)]
 	for j, k := range mt {
-		pc := pcs[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
+		pc := pcs[k]
 		target, ok := b.Predict(pc)
 		preds[j] = predictor.Prediction{Target: target, Predicted: ok}
-		b.Update(pc, tgts[k]) //lint:idxsafe MTIdx entries index the block's lanes by construction
+		b.Update(pc, tgts[k])
 	}
 }
 

@@ -106,8 +106,7 @@ func (c *Cascade) Name() string {
 // Entries implements predictor.Sized.
 func (c *Cascade) Entries() int { return len(c.filter) + c.main.Entries() }
 
-// filterSlot masks the word-aligned pc into the filter; single-return so
-// callers inherit the in-bounds proof.
+// filterSlot masks the word-aligned pc into the filter.
 func (c *Cascade) filterSlot(pc uint64) uint64 {
 	return (pc >> 2) & uint64(len(c.filter)-1)
 }
@@ -190,12 +189,11 @@ func (c *Cascade) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
 	j := 0
 	for _, k := range c.cfg.Main.Short.HistoryStream.Lane(b) {
-		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
-		//lint:idxsafe lane entries index the block's lanes by construction
+		tgt := tgts[k]
 		if metas[k]&trace.MetaMT != 0 {
-			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
+			pc := pcs[k]
 			target, ok := c.Predict(pc)
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 			c.Update(pc, tgt)
 		}

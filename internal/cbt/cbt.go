@@ -160,14 +160,14 @@ func (c *CBT) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	mt := b.MTIdx[:len(preds)]
 	for j, k := range mt {
 		if vals != nil {
-			c.SetValue(vals[k]) //lint:idxsafe MTIdx entries index the block's lanes by construction
+			c.SetValue(vals[k])
 		} else {
 			c.SetValue(0)
 		}
-		pc := pcs[k] //lint:idxsafe MTIdx entries index the block's lanes by construction
+		pc := pcs[k]
 		target, ok := c.Predict(pc)
 		preds[j] = predictor.Prediction{Target: target, Predicted: ok}
-		c.Update(pc, tgts[k]) //lint:idxsafe MTIdx entries index the block's lanes by construction
+		c.Update(pc, tgts[k])
 	}
 }
 

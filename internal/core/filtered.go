@@ -64,8 +64,7 @@ func (f *FilteredPPM) Entries() int { return len(f.filter) + f.ppm.Entries() }
 // PPM exposes the wrapped Markov stack.
 func (f *FilteredPPM) PPM() *PPM { return f.ppm }
 
-// filterSlot masks the word-aligned pc into the filter; single-return so
-// callers inherit the in-bounds proof.
+// filterSlot masks the word-aligned pc into the filter.
 func (f *FilteredPPM) filterSlot(pc uint64) uint64 {
 	return (pc >> 2) & uint64(len(f.filter)-1)
 }
@@ -157,7 +156,7 @@ func (f *FilteredPPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction)
 		if pib && m&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := f.Predict(pc)
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 			f.Update(pc, tgt)
 			if hyb {

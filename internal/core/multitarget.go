@@ -100,7 +100,8 @@ func (t *MultiMarkovTable) train(idx uint64, target uint64) {
 		}
 	}
 	if e.n < t.k {
-		e.slots[e.n] = mtSlot{target: target, count: 1} //lint:idxsafe e.n < t.k == len(e.slots): the constructor carves exactly k slots per entry
+		// The constructor carves exactly k slots per entry, so e.n < len(e.slots).
+		e.slots[e.n] = mtSlot{target: target, count: 1}
 		e.n++
 		return
 	}
@@ -190,9 +191,9 @@ func (m *MultiPPM) Predict(pc uint64) (uint64, bool) {
 	// Same incremental all-orders pass as PPM.Predict: each order's SFSXS
 	// hash nests inside the next, so one sweep over the PIB ring serves all.
 	m.inner.pib.SFSXSAll(pd.indices, cfg.TargetBits, cfg.FoldBits, cfg.LowSelect)
+	// indices holds Order+1 entries and tables Order, by construction.
 	for j := cfg.Order; j >= 1; j-- {
-		idx := pd.indices[j] //lint:idxsafe j descends from Order and len(indices) == Order+1 by construction
-		//lint:idxsafe j in [1, Order] and len(tables) == Order by construction
+		idx := pd.indices[j]
 		if tgt, ok := m.tables[j-1].lookup(idx); ok {
 			pd.chosen = j
 			pd.target = tgt
@@ -213,7 +214,7 @@ func (m *MultiPPM) Update(_, target uint64) {
 		low = 1
 	}
 	for j := m.inner.Config().Order; j >= low; j-- {
-		m.tables[j-1].train(pd.indices[j], target) //lint:idxsafe j in [1, Order]; tables and indices are Order and Order+1 long by construction
+		m.tables[j-1].train(pd.indices[j], target)
 	}
 }
 
@@ -239,7 +240,7 @@ func (m *MultiPPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 		if pib && mb&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := m.Predict(pc)
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 			m.Update(pc, tgt)
 		}

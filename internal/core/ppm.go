@@ -233,9 +233,9 @@ func (p *PPM) Predict(pc uint64) (uint64, bool) {
 	// SFSXS index (each order's hash nests inside the next).
 	phr.SFSXSAll(pd.indices, p.cfg.TargetBits, p.cfg.FoldBits, p.cfg.LowSelect)
 
+	// indices holds Order+1 entries and tables Order, by construction.
 	for j := p.cfg.Order; j >= 1; j-- {
-		idx := pd.indices[j] //lint:idxsafe j descends from Order and len(indices) == Order+1 by construction
-		//lint:idxsafe j in [1, Order] and len(tables) == Order by construction
+		idx := pd.indices[j]
 		if e := p.tables[j-1].lookup(idx, tag); e != nil && e.hyst.Value() >= p.cfg.ConfidenceThreshold {
 			pd.chosen = j
 			pd.target = e.target
@@ -248,10 +248,11 @@ func (p *PPM) Predict(pc uint64) (uint64, bool) {
 		pd.target = p.zero.target
 		pd.ok = true
 	}
+	// Accesses has Order+2 slots: orders 0 to Order, then no prediction.
 	if pd.ok {
-		p.stats.Accesses[pd.chosen]++ //lint:idxsafe chosen in [0, Order] when ok; Accesses has Order+2 slots
+		p.stats.Accesses[pd.chosen]++
 	} else {
-		p.stats.Accesses[p.cfg.Order+1]++ //lint:idxsafe Accesses has Order+2 slots by construction
+		p.stats.Accesses[p.cfg.Order+1]++
 	}
 	return pd.target, pd.ok
 }
@@ -271,10 +272,11 @@ func (p *PPM) UpdateAlloc(_, target uint64, train bool) {
 	pd := &p.pending
 	correct := pd.ok && pd.target == target
 	if !correct {
+		// Misses has Order+2 slots, laid out like Accesses.
 		if pd.ok {
-			p.stats.Misses[pd.chosen]++ //lint:idxsafe chosen in [0, Order] when ok; Misses has Order+2 slots
+			p.stats.Misses[pd.chosen]++
 		} else {
-			p.stats.Misses[p.cfg.Order+1]++ //lint:idxsafe Misses has Order+2 slots by construction
+			p.stats.Misses[p.cfg.Order+1]++
 		}
 	}
 
@@ -284,7 +286,7 @@ func (p *PPM) UpdateAlloc(_, target uint64, train bool) {
 			low = 0 // nothing predicted: every component learns the branch
 		}
 		for j := p.cfg.Order; j >= 1 && j >= low; j-- {
-			p.tables[j-1].train(pd.indices[j], pd.tag, target) //lint:idxsafe j in [1, Order]; tables and indices are Order and Order+1 long by construction
+			p.tables[j-1].train(pd.indices[j], pd.tag, target)
 		}
 		if low == 0 {
 			trainZero(&p.zero, target)
@@ -295,10 +297,6 @@ func (p *PPM) UpdateAlloc(_, target uint64, train bool) {
 		pd.sel.Sel.Update(correct)
 	}
 }
-
-// PredictedValid reports whether the most recent Predict call produced a
-// prediction, for filtering front ends.
-func (p *PPM) PredictedValid() bool { return p.pending.ok }
 
 func trainZero(e *markovEntry, target uint64) {
 	if !e.valid {
@@ -351,7 +349,7 @@ func (p *PPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 		if pib && m&trace.MetaMT != 0 {
 			pc := pcs[i]
 			target, ok := p.Predict(pc)
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 			p.Update(pc, tgt)
 			if hyb {

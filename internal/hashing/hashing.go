@@ -140,7 +140,7 @@ func SFSXSAll(dst, ring []uint64, head, n int, selBits, foldBits uint, low bool)
 	fs := max(foldBits, 1) // a zero width would never end the rounds
 	i := head
 	for o := 1; o < len(dst); o++ {
-		g := ring[i] >> 2 & sel //lint:idxsafe i starts at head and wraps within [0, len(ring))
+		g := ring[i] >> 2 & sel
 		for s := fs; s < selBits; s <<= 1 {
 			g ^= g >> (s & 63)
 		}

@@ -160,9 +160,6 @@ func NewWide(stream Stream, depth int, bitsPer, packedBits uint) *PHR {
 // Stream returns the stream feeding this register.
 func (p *PHR) Stream() Stream { return p.stream }
 
-// Depth returns the number of targets retained.
-func (p *PHR) Depth() int { return len(p.ring) }
-
 // Observe shifts the record's target into the register if the record
 // belongs to the PHR's stream. It returns true if the register advanced.
 //
@@ -219,7 +216,7 @@ func (p *PHR) Recent(dst []uint64, n int) []uint64 {
 	dst = dst[:n]
 	idx := p.head
 	for i := range dst {
-		dst[i] = p.ring[idx] //lint:idxsafe idx walks the ring down from head and wraps at 0, staying in [0, len)
+		dst[i] = p.ring[idx]
 		idx--
 		if idx < 0 {
 			idx = len(p.ring) - 1
@@ -241,7 +238,8 @@ func (p *PHR) SFSXSAll(dst []uint64, selBits, foldBits uint, low bool) {
 // reading slots that have not been written yet as zero — the zero-filled
 // warm-up a hardware register that powers up cleared would exhibit, and the
 // contract the incremental folded registers of geometric-history predictors
-// rely on for their outgoing items. Panics if i is not in [0, Depth()).
+// rely on for their outgoing items. Panics if i is not in [0, depth) for
+// the register's depth.
 //
 //ppm:hotpath per-record history-register read; runs once per bank per push
 func (p *PHR) Peek(i int) uint64 {
@@ -252,7 +250,7 @@ func (p *PHR) Peek(i int) uint64 {
 	if idx < 0 {
 		idx += len(p.ring)
 	}
-	return p.ring[idx] //lint:idxsafe idx = head-i wrapped once into [0, len)
+	return p.ring[idx]
 }
 
 // Packed returns the 64 low-order bits of the shift-register view: bitsPer

@@ -272,11 +272,12 @@ func (p *ITTAGE) Predict(pc uint64) (uint64, bool) {
 	pd := &p.pending
 	pd.provider, pd.alt = -1, -1
 	for i := len(p.banks) - 1; i >= 0; i-- {
-		b := &p.banks[i] //lint:idxsafe i descends from len(banks)-1 to 0
+		b := &p.banks[i]
 		idx := p.bankIndex(b, pc)
 		tag := p.bankTag(b, pc)
-		p.pendIdx[i] = idx //lint:idxsafe pendIdx and pendTag are sized to len(banks) at construction
-		p.pendTag[i] = tag //lint:idxsafe pendIdx and pendTag are sized to len(banks) at construction
+		// pendIdx and pendTag are sized to len(banks) at construction.
+		p.pendIdx[i] = idx
+		p.pendTag[i] = tag
 		if pd.alt >= 0 {
 			continue // both match slots filled; keep filling pend{Idx,Tag}
 		}
@@ -331,7 +332,8 @@ func (p *ITTAGE) Update(pc, target uint64) {
 	correct := pd.predOK && pd.pred == target
 
 	if pd.provider >= 0 {
-		e := &p.banks[pd.provider].entries[p.pendIdx[pd.provider]] //lint:idxsafe provider in [0,len(banks)) and pendIdx holds masked indexes
+		// pendIdx holds the masked entry indexes Predict stored.
+		e := &p.banks[pd.provider].entries[p.pendIdx[pd.provider]]
 		altDiffers := !pd.altOK || pd.altPred != pd.provPred
 		// The use-alt counter trains only on decisive events: a newly
 		// allocated provider that disagreed with its alternate, where
@@ -367,7 +369,7 @@ func (p *ITTAGE) Update(pc, target uint64) {
 		p.allocate(pd.provider+1, target)
 	}
 
-	be := &p.base[pd.baseIdx] //lint:idxsafe baseIdx is masked into [0, len(base)) by baseIndex
+	be := &p.base[pd.baseIdx] // baseIndex masks baseIdx into [0, len(base))
 	be.valid = true
 	be.target = target
 }
@@ -380,15 +382,16 @@ func (p *ITTAGE) Update(pc, target uint64) {
 //
 //ppm:hotpath per-mispredict ITTAGE allocation walk
 func (p *ITTAGE) allocate(from int, target uint64) {
+	// pendIdx holds the masked entry indexes Predict stored.
 	for i := from; i < len(p.banks); i++ {
-		e := &p.banks[i].entries[p.pendIdx[i]] //lint:idxsafe i in [0,len(banks)) and pendIdx holds masked indexes
+		e := &p.banks[i].entries[p.pendIdx[i]]
 		if !e.valid || e.u == 0 {
-			*e = entry{valid: true, tag: p.pendTag[i], target: target} //lint:idxsafe i in [0,len(banks)) bounds pendTag too
+			*e = entry{valid: true, tag: p.pendTag[i], target: target}
 			return
 		}
 	}
 	for i := from; i < len(p.banks); i++ {
-		e := &p.banks[i].entries[p.pendIdx[i]] //lint:idxsafe i in [0,len(banks)) and pendIdx holds masked indexes
+		e := &p.banks[i].entries[p.pendIdx[i]]
 		if e.u > 0 {
 			e.u--
 		}
@@ -444,12 +447,11 @@ func (p *ITTAGE) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
 	j := 0
 	for _, k := range p.hist.Stream().Lane(b) {
-		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
-		//lint:idxsafe lane entries index the block's lanes by construction
+		tgt := tgts[k]
 		if metas[k]&trace.MetaMT != 0 {
-			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
+			pc := pcs[k]
 			target, ok := p.Predict(pc)
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 			p.Update(pc, tgt)
 		}

@@ -10,7 +10,8 @@
 // codecs, handlers, standard-library generic instantiations — are dropped:
 // the gate budgets only what runs once per lookup. The drift report is an
 // added/removed diff plus the re-baseline hint, so a failing gate names the
-// function that gained a diagnostic.
+// function that gained a diagnostic; under each key above budget it lists
+// the file:line of every current diagnostic charged to that key.
 package gate
 
 import (
@@ -22,6 +23,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,17 +114,20 @@ func HotFuncs(pkgs []*lint.Package, dir string) (funcs []Func, hotPkgs []string)
 }
 
 // Attribute charges each diagnostic to the hot function whose span contains
-// it and returns the keyed counts. A diagnostic at an inlined call lands on
-// the caller's line, so it is charged to the caller. Escapes count in the
-// colon-less form only: under -m=2 the "... escapes to heap:" twin opens
-// the flow explanation of the same escape. Every hot function without a
-// "can inline" verdict yields an inline key with the compiler's reason.
-func Attribute(diags []Diag, funcs []Func) map[string]int {
+// it and returns, per key, the line of each diagnostic charged to it, in
+// line order (the key names the file); the list's length is the key's
+// count (see Counts).
+// A diagnostic at an inlined call lands on the caller's line, so it is
+// charged to the caller. Escapes count in the colon-less form only: under
+// -m=2 the "... escapes to heap:" twin opens the flow explanation of the
+// same escape. Every hot function without a "can inline" verdict yields an
+// inline key with the compiler's reason, at the function's first line.
+func Attribute(diags []Diag, funcs []Func) map[string][]int {
 	byFile := map[string][]Func{}
 	for _, f := range funcs {
 		byFile[f.File] = append(byFile[f.File], f)
 	}
-	counts := map[string]int{}
+	lines := map[string][]int{}
 	inlinable := map[Func]bool{}
 	refused := map[Func]string{}
 	for _, d := range diags {
@@ -142,12 +147,16 @@ func Attribute(diags []Diag, funcs []Func) map[string]int {
 			}
 			continue
 		}
+		var k string
 		switch {
 		case strings.HasSuffix(d.Msg, "escapes to heap") || strings.HasPrefix(d.Msg, "moved to heap: "):
-			counts[key(Escape, f, d.Msg)]++
+			k = key(Escape, f, d.Msg)
 		case d.Msg == "Found IsInBounds" || d.Msg == "Found IsSliceInBounds":
-			counts[key(BCE, f, d.Msg)]++
+			k = key(BCE, f, d.Msg)
+		default:
+			continue
 		}
+		lines[k] = append(lines[k], d.Line)
 	}
 	for _, f := range funcs {
 		if inlinable[f] {
@@ -157,7 +166,20 @@ func Attribute(diags []Diag, funcs []Func) map[string]int {
 		if !ok {
 			reason = "no inlining verdict from the compiler"
 		}
-		counts[key(Inline, f, reason)]++
+		k := key(Inline, f, reason)
+		lines[k] = append(lines[k], f.Start)
+	}
+	for _, ls := range lines {
+		slices.Sort(ls)
+	}
+	return lines
+}
+
+// Counts reduces attributed lines to the per-key counts a baseline holds.
+func Counts(lines map[string][]int) map[string]int {
+	counts := make(map[string]int, len(lines))
+	for k, ls := range lines {
+		counts[k] = len(ls)
 	}
 	return counts
 }
@@ -222,22 +244,29 @@ func Read(path string) (map[string]int, error) {
 	return counts, nil
 }
 
-// Diff compares the current counts against the baseline and prints the
-// drift as an added/removed diff: "+n key" for diagnostics above budget
-// (these fail the gate), "-n key" for budgeted diagnostics no longer
-// present (advisory slack). It reports whether the gate failed; on any
-// drift it prints the updateCmd re-baseline hint. Failure lines go to errw,
-// advisory lines to outw.
-func Diff(tool string, current, budget map[string]int, updateCmd string, outw, errw io.Writer) (failed bool) {
+// Diff compares the current attribution (see Attribute) against the
+// baseline counts and prints the drift as an added/removed diff: "+n key"
+// for diagnostics above budget (these fail the gate), each followed by the
+// file:line of every current diagnostic under that key, since the key
+// alone cannot say which one is new; "-n key" for budgeted diagnostics no
+// longer present (advisory slack). It reports whether the gate failed; on
+// any drift it prints the updateCmd re-baseline hint. Failure lines go to
+// errw, advisory lines to outw.
+func Diff(tool string, current map[string][]int, budget map[string]int, updateCmd string, outw, errw io.Writer) (failed bool) {
 	var added, removed []string
 	for _, k := range sortedKeys(current) {
-		if current[k] > budget[k] {
-			added = append(added, fmt.Sprintf("  +%d  %s", current[k]-budget[k], strings.ReplaceAll(k, "\t", ": ")))
+		if n := len(current[k]); n > budget[k] {
+			added = append(added, fmt.Sprintf("  +%d  %s", n-budget[k], strings.ReplaceAll(k, "\t", ": ")))
+			_, rest, _ := strings.Cut(k, "\t")
+			file, _, _ := strings.Cut(rest, "\t")
+			for _, l := range current[k] {
+				added = append(added, fmt.Sprintf("        %s:%d", file, l))
+			}
 		}
 	}
 	for _, k := range sortedKeys(budget) {
-		if current[k] < budget[k] {
-			removed = append(removed, fmt.Sprintf("  -%d  %s", budget[k]-current[k], strings.ReplaceAll(k, "\t", ": ")))
+		if n := len(current[k]); n < budget[k] {
+			removed = append(removed, fmt.Sprintf("  -%d  %s", budget[k]-n, strings.ReplaceAll(k, "\t", ": ")))
 		}
 	}
 
@@ -262,7 +291,7 @@ func Diff(tool string, current, budget map[string]int, updateCmd string, outw, e
 	return failed
 }
 
-func sortedKeys(m map[string]int) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

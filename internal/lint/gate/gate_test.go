@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -118,7 +119,8 @@ func fixtureDiags(t *testing.T, src string) []Diag {
 }
 
 func TestAttribute(t *testing.T) {
-	got := Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc))
+	lines := Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc))
+	got := Counts(lines)
 	want := map[string]int{
 		// The inlined callee's make is charged to the caller, once.
 		"escape\tinternal/hot/hot.go\t(*Table).Lookup\tmake([]uint64, n) escapes to heap": 1,
@@ -133,6 +135,18 @@ func TestAttribute(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("keys:\n%s\nwant:\n%s", dump(got), dump(want))
 	}
+	// Each key keeps the line of every diagnostic charged to it; an
+	// inline key sits on its function's first line.
+	slow, decl := lineOf(t, fixtureSrc, "// @slow"), lineOf(t, fixtureSrc, "func (t *Table) ensureSlow")
+	for k, want := range map[string][]int{
+		"bce\tinternal/hot/hot.go\t(*Table).ensureSlow\tFound IsInBounds":                         {slow, slow},
+		"escape\tinternal/hot/hot.go\t(*Table).Lookup\tmake([]uint64, n) escapes to heap":         {lineOf(t, fixtureSrc, "// @call")},
+		"inline\tinternal/hot/hot.go\t(*Table).ensureSlow\tno inlining verdict from the compiler": {decl},
+	} {
+		if !reflect.DeepEqual(lines[k], want) {
+			t.Errorf("%s: lines %v, want %v", k, lines[k], want)
+		}
+	}
 }
 
 func TestAttributeInlineVerdicts(t *testing.T) {
@@ -143,7 +157,7 @@ func TestAttributeInlineVerdicts(t *testing.T) {
 		// A closure's verdict inside a hot function is not the function's.
 		at(t, fixtureSrc, "@index", "cannot inline (*Table).Lookup.func1: unhandled op CLOSURE"),
 	}
-	got := Attribute(diags, fixtureFuncs(t, fixtureSrc))
+	got := Counts(Attribute(diags, fixtureFuncs(t, fixtureSrc)))
 	want := map[string]int{"inline\tinternal/hot/hot.go\t(*Table).ensureSlow\tmarked go:noinline": 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("keys:\n%s\nwant:\n%s", dump(got), dump(want))
@@ -152,8 +166,8 @@ func TestAttributeInlineVerdicts(t *testing.T) {
 
 func TestAttributeIgnoresLineShift(t *testing.T) {
 	shifted := strings.Replace(fixtureSrc, "// Lookup is", "\n\n\n\n// Lookup is", 1)
-	before := Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc))
-	after := Attribute(fixtureDiags(t, shifted), fixtureFuncs(t, shifted))
+	before := Counts(Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc)))
+	after := Counts(Attribute(fixtureDiags(t, shifted), fixtureFuncs(t, shifted)))
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("shifting Lookup changed the keys:\n%s\nvs\n%s", dump(before), dump(after))
 	}
@@ -195,17 +209,17 @@ func TestReadMalformed(t *testing.T) {
 }
 
 func TestDiffAddedFailsRemovedAdvises(t *testing.T) {
-	current := map[string]int{"a.go\tnew": 1, "b.go\tsame": 2}
-	budget := map[string]int{"b.go\tsame": 2, "c.go\tgone": 3}
+	current := map[string][]int{"bce\ta.go\tnew": {7}, "bce\tb.go\tsame": {3, 4}}
+	budget := map[string]int{"bce\tb.go\tsame": 2, "bce\tc.go\tgone": 3}
 	var out, errb bytes.Buffer
 
 	if !Diff("t", current, budget, "make t-update", &out, &errb) {
 		t.Fatal("added diagnostic did not fail the gate")
 	}
-	if !strings.Contains(errb.String(), "+1  a.go: new") {
+	if !strings.Contains(errb.String(), "+1  bce: a.go: new") {
 		t.Errorf("added diff missing: %q", errb.String())
 	}
-	if !strings.Contains(out.String(), "-3  c.go: gone") {
+	if !strings.Contains(out.String(), "-3  bce: c.go: gone") {
 		t.Errorf("removed diff missing: %q", out.String())
 	}
 	if !strings.Contains(errb.String(), "make t-update") {
@@ -213,10 +227,45 @@ func TestDiffAddedFailsRemovedAdvises(t *testing.T) {
 	}
 }
 
-func TestDiffCleanPasses(t *testing.T) {
-	counts := map[string]int{"a.go\tx": 1}
+// TestDiffNamesLines pins the pointer a failing gate prints: a key above
+// budget lists the file:line of each of its current diagnostics, because
+// the line-free key cannot say which one is new. Keys
+// within budget and keys with slack list none.
+func TestDiffNamesLines(t *testing.T) {
+	current := map[string][]int{
+		"bce\tinternal/btb/btb.go\t(*BTB).Predict\tFound IsInBounds":   {84, 91},
+		"bce\tinternal/core/ppm.go\t(*PPM).Predict\tFound IsInBounds":  {240, 252},
+		"escape\tinternal/cbt/cbt.go\t(*CBT).Update\tmoved to heap: x": {17},
+	}
+	budget := map[string]int{
+		"bce\tinternal/btb/btb.go\t(*BTB).Predict\tFound IsInBounds":   1,
+		"bce\tinternal/core/ppm.go\t(*PPM).Predict\tFound IsInBounds":  2,
+		"escape\tinternal/cbt/cbt.go\t(*CBT).Update\tmoved to heap: x": 3,
+	}
 	var out, errb bytes.Buffer
-	if Diff("t", counts, counts, "make t-update", &out, &errb) {
+	if !Diff("t", current, budget, "make t-update", &out, &errb) {
+		t.Fatal("key above budget did not fail the gate")
+	}
+	want := "t: diagnostics above baseline:\n" +
+		"  +1  bce: internal/btb/btb.go: (*BTB).Predict: Found IsInBounds\n" +
+		"        internal/btb/btb.go:84\n" +
+		"        internal/btb/btb.go:91\n" +
+		"t: fix the new diagnostics or, if intentional, run `make t-update` and commit the baseline diff\n"
+	if errb.String() != want {
+		t.Errorf("failure report:\n%s\nwant:\n%s", errb.String(), want)
+	}
+	if regexp.MustCompile(`\.go:\d`).MatchString(out.String()) {
+		t.Errorf("slack report names lines:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "-2  escape: internal/cbt/cbt.go: (*CBT).Update: moved to heap: x") {
+		t.Errorf("slack line missing:\n%s", out.String())
+	}
+}
+
+func TestDiffCleanPasses(t *testing.T) {
+	lines := map[string][]int{"bce\ta.go\tx": {5}}
+	var out, errb bytes.Buffer
+	if Diff("t", lines, Counts(lines), "make t-update", &out, &errb) {
 		t.Fatal("identical counts failed the gate")
 	}
 	if out.Len() != 0 || errb.Len() != 0 {

@@ -106,7 +106,7 @@ func (l *lane) stepBlock(b *trace.Block, preds []predictor.Prediction) {
 		r := b.Record(k)
 		target, ok := step(l.p, l.va, r)
 		if r.MTIndirect() {
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 		}
 	}
@@ -125,7 +125,7 @@ func tally(c *stats.Counters, preds []predictor.Prediction, b *trace.Block) {
 		switch {
 		case !p.Predicted:
 			abstained++
-		case p.Target == tgts[mt[j]]: //lint:idxsafe MTIdx entries index the block's lanes by construction
+		case p.Target == tgts[mt[j]]:
 			correct++
 		}
 	}

@@ -2,24 +2,12 @@ package sim
 
 import "repro/internal/state"
 
-// Snapshottable reports whether every attached predictor implements
-// state.Snapshotter — the precondition for saving or loading the engine.
-// The oracle (unbounded measurement device) is the one shipped predictor
-// that does not.
-func (e *Engine) Snapshottable() bool {
-	for _, l := range e.lanes {
-		if _, ok := l.p.(state.Snapshotter); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Walk implements state.Snapshotter: the engine's accounting and
 // per-predictor counters, the RAS, then every predictor in attachment
 // order. Loading requires an engine built over an identically-ordered
 // predictor set. Panics if a predictor does not implement
-// state.Snapshotter; guard with Snapshottable for dynamic sets.
+// state.Snapshotter; the oracle (an unbounded measurement device) is the
+// one shipped predictor that does not.
 func (e *Engine) Walk(c *state.Codec) {
 	c.Begin(state.SecEngine)
 	c.Match(uint64(len(e.lanes)))

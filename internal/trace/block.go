@@ -82,17 +82,17 @@ func (b *Block) Len() int { return len(b.Meta) }
 //
 //ppm:hotpath per-record reassembly inside the block engine's fallback loop
 func (b *Block) Record(i int) Record {
-	m := b.Meta[i] //lint:idxsafe caller contract: i < Len(); panicking on bad i is the documented behaviour
+	m := b.Meta[i]
 	r := Record{
-		PC:     b.PC[i],     //lint:idxsafe all lanes share len(b.Meta) by construction
-		Target: b.Target[i], //lint:idxsafe all lanes share len(b.Meta) by construction
+		PC:     b.PC[i],
+		Target: b.Target[i],
 		Class:  Class(m & MetaClassMask),
 		Taken:  m&MetaTaken != 0,
 		MT:     m&MetaMT != 0,
-		Gap:    b.Gap[i], //lint:idxsafe all lanes share len(b.Meta) by construction
+		Gap:    b.Gap[i],
 	}
 	if b.Value != nil {
-		r.Value = b.Value[i] //lint:idxsafe a non-nil Value lane shares len(b.Meta) by construction
+		r.Value = b.Value[i]
 	}
 	return r
 }
@@ -320,7 +320,7 @@ func (r *Reader) decodeBlock(b *Block, n int) error {
 			vals = valueLane(n) //lint:coldpath a block's Value lane is materialized once, then reused
 		}
 		if vals != nil {
-			vals[i] = rec.value //lint:idxsafe a non-nil vals holds n records, and i < n
+			vals[i] = rec.value
 		}
 		if cls := Class(rec.meta & MetaClassMask); cls == IndirectJmp || cls == IndirectJsr {
 			pib = append(pib, int32(i)) //lint:coldpath grows only until the lane reaches the block's indirect count

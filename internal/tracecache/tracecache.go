@@ -90,12 +90,11 @@ func New(budgetBytes int64) *Cache {
 // values, so two configs sharing a name and seed but differing in any site
 // spec hash apart.
 func Fingerprint(cfg workload.Config) string {
-	return fmt.Sprintf("%s|%s|%#x|%d|%d|%d|%g|%g|%d|%g|%g|%t|%g|%d|%g|%d|%#v",
+	return fmt.Sprintf("%s|%s|%#x|%d|%d|%g|%d|%g|%g|%t|%g|%d|%#v",
 		cfg.Name, cfg.Input, cfg.Seed, cfg.Events,
-		cfg.CondPerEvent, cfg.CondSites, cfg.CondNoise, cfg.CondTakenBias,
+		cfg.CondPerEvent, cfg.CondNoise,
 		cfg.CondPatternBits, cfg.STRate, cfg.CallRate,
-		cfg.ChainSites, cfg.ChainNoise, cfg.ChainOrder,
-		cfg.GapMean, cfg.HistoryDepth, cfg.Sites)
+		cfg.ChainSites, cfg.ChainNoise, cfg.ChainOrder, cfg.Sites)
 }
 
 // GetBlocks returns cfg's trace in columnar form, plus its summary,

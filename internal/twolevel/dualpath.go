@@ -154,12 +154,11 @@ func (d *DualPath) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
 	j := 0
 	for _, k := range d.short.hist.Stream().Lane(b) {
-		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
-		//lint:idxsafe lane entries index the block's lanes by construction
+		tgt := tgts[k]
 		if metas[k]&trace.MetaMT != 0 {
-			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
+			pc := pcs[k]
 			target, ok := d.Predict(pc)
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 			d.Update(pc, tgt)
 		}

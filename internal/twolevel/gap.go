@@ -210,12 +210,11 @@ func (g *GAp) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
 	j := 0
 	for _, k := range g.hist.Stream().Lane(b) {
-		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
-		//lint:idxsafe lane entries index the block's lanes by construction
+		tgt := tgts[k]
 		if metas[k]&trace.MetaMT != 0 {
-			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
+			pc := pcs[k]
 			target, ok := g.Predict(pc)
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 			g.Update(pc, tgt)
 		}

@@ -94,7 +94,7 @@ func (t *TargetCache) Predict(pc uint64) (uint64, bool) {
 	idx := t.index(pc)
 	t.pending = idx
 	t.pendingTag = hashing.Mix64(pc>>2) >> (64 - tcTagBits)
-	e := t.table[idx] //lint:idxsafe GShare truncates to floor(log2(len(table))) bits, so idx < len(table)
+	e := t.table[idx] // GShare truncates to floor(log2(len(table))) bits, so idx < len(table)
 	if !e.valid {
 		return 0, false
 	}
@@ -107,7 +107,8 @@ func (t *TargetCache) Predict(pc uint64) (uint64, bool) {
 // Update implements predictor.IndirectPredictor. The Target Cache always
 // installs the actual target — no replacement hysteresis.
 func (t *TargetCache) Update(_, target uint64) {
-	t.table[t.pending] = tcEntry{valid: true, tag: t.pendingTag, target: target} //lint:idxsafe pending holds the GShare-truncated index Predict stored
+	// pending holds the GShare-truncated index Predict stored.
+	t.table[t.pending] = tcEntry{valid: true, tag: t.pendingTag, target: target}
 }
 
 // Observe implements predictor.IndirectPredictor.
@@ -122,12 +123,11 @@ func (t *TargetCache) ProcessBlock(b *trace.Block, preds []predictor.Prediction)
 	pcs, tgts, metas := b.PC, b.Target, b.Meta
 	j := 0
 	for _, k := range t.hist.Stream().Lane(b) {
-		tgt := tgts[k] //lint:idxsafe lane entries index the block's lanes by construction
-		//lint:idxsafe lane entries index the block's lanes by construction
+		tgt := tgts[k]
 		if metas[k]&trace.MetaMT != 0 {
-			pc := pcs[k] //lint:idxsafe lane entries index the block's lanes by construction
+			pc := pcs[k]
 			target, ok := t.Predict(pc)
-			preds[j] = predictor.Prediction{Target: target, Predicted: ok} //lint:idxsafe j counts the block's MT dispatches, len(preds) of them
+			preds[j] = predictor.Prediction{Target: target, Predicted: ok}
 			j++
 			t.Update(pc, tgt)
 		}

@@ -60,13 +60,9 @@ type Config struct {
 	// CondPerEvent is the mean number of conditional branches emitted
 	// before each dispatch event.
 	CondPerEvent int
-	// CondSites is the number of distinct conditional branch addresses
-	// (default 16).
-	CondSites int
 	// CondNoise is the probability a conditional outcome is random
-	// rather than pattern-driven; CondTakenBias biases that random draw.
-	CondNoise     float64
-	CondTakenBias float64
+	// rather than pattern-driven (taken with probability condTakenBias).
+	CondNoise float64
 	// CondPatternBits sets the period (2^bits) of the deterministic
 	// conditional outcome pattern (default 4 -> period 16). A small
 	// period keeps PB history tuples recurrent and learnable.
@@ -85,12 +81,21 @@ type Config struct {
 	ChainSites bool
 	ChainNoise float64
 	ChainOrder int
-	// GapMean is the mean number of non-branch instructions between
-	// consecutive branch records (default 4).
-	GapMean float64
-	// HistoryDepth bounds the generator-side history context (default 16).
-	HistoryDepth int
 }
+
+// Program shape every run shares.
+const (
+	// condSites is the number of distinct conditional branch addresses.
+	condSites = 16
+	// condTakenBias is the taken probability of a random conditional
+	// outcome.
+	condTakenBias = 0.6
+	// gapMean is the mean number of non-branch instructions between
+	// consecutive branch records.
+	gapMean = 4.0
+	// historyDepth bounds the generator-side history context.
+	historyDepth = 16
+)
 
 func (c Config) String() string {
 	if c.Input == "" {
@@ -127,7 +132,7 @@ const (
 	stBase     = 0x1_6000_0000
 )
 
-func buildSites(specs []SiteSpec, depth int, seed uint64) []*Site {
+func buildSites(specs []SiteSpec, seed uint64) []*Site {
 	sites := make([]*Site, len(specs))
 	tgtCtr := uint64(0)
 	used := make(map[uint64]bool)
@@ -171,7 +176,7 @@ func buildSites(specs []SiteSpec, depth int, seed uint64) []*Site {
 			PC:       pc,
 			Targets:  make([]uint64, spec.NumTargets),
 			salt:     mix(uint64(i+1) * 0x9e3779b97f4a7c15),
-			selfHist: history.New(history.AllBranches, depth, 0, 0),
+			selfHist: history.New(history.AllBranches, historyDepth, 0, 0),
 		}
 		align := uint64(4)
 		if spec.Class == trace.IndirectJsr || spec.Class == trace.JsrCoroutine {
@@ -211,35 +216,19 @@ func (c Config) Generate(emit func(trace.Record)) Summary {
 	if len(c.Sites) == 0 {
 		panic("workload: no sites")
 	}
-	depth := c.HistoryDepth
-	if depth <= 0 {
-		depth = 16
-	}
-	condSites := c.CondSites
-	if condSites <= 0 {
-		condSites = 16
-	}
 	patBits := c.CondPatternBits
 	if patBits == 0 {
 		patBits = 4
-	}
-	gapMean := c.GapMean
-	if gapMean <= 0 {
-		gapMean = 4
-	}
-	takenBias := c.CondTakenBias
-	if takenBias == 0 {
-		takenBias = 0.6
 	}
 
 	rng := NewRNG(c.Seed)
 	ctx := &Context{
 		RNG:     rng,
-		PIBHist: history.New(history.IndirectBranches, depth, 0, 0),
-		PBHist:  history.New(history.AllBranches, depth, 0, 0),
-		scratch: make([]uint64, 0, depth),
+		PIBHist: history.New(history.IndirectBranches, historyDepth, 0, 0),
+		PBHist:  history.New(history.AllBranches, historyDepth, 0, 0),
+		scratch: make([]uint64, 0, historyDepth),
 	}
-	sites := buildSites(c.Sites, depth, c.Seed)
+	sites := buildSites(c.Sites, c.Seed)
 
 	var sum Summary
 	sum.Name, sum.Input = c.Name, c.Input
@@ -387,7 +376,7 @@ func (c Config) Generate(emit func(trace.Record)) Summary {
 			pc := uint64(condBase) + uint64(ci)*0x10
 			var taken bool
 			if rng.Bool(c.CondNoise) {
-				taken = rng.Bool(takenBias)
+				taken = rng.Bool(condTakenBias)
 			} else {
 				taken = (patCtr>>(uint(ci)%patBits))&1 == 1
 			}
