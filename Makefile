@@ -5,7 +5,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint fmt vet ppmlint lint-concurrency gates gates-update grid-smoke serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
+.PHONY: all build test race test-386 lint fmt vet ppmlint gates gates-update grid-smoke serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -17,6 +17,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The whole suite with a 32-bit int: catches constants and conversions that
+# only fit a 64-bit int (amd64 hosts run the 386 test binaries natively).
+test-386:
+	GOARCH=386 $(GO) test ./...
 
 # gofmt -l prints offending files; fail loudly instead of silently succeeding.
 fmt:
@@ -31,12 +36,6 @@ vet:
 # panicdoc, pow2mask. Surviving bounds checks are the codegen gate's job.
 ppmlint:
 	$(GO) run ./cmd/ppmlint ./...
-
-# Just the concurrency-discipline analyzers — goroutine lifetimes, context
-# flow, lock ordering, unchecked cleanup errors — for a fast local pass.
-# `make ppmlint` (via `make lint`) runs them too.
-lint-concurrency:
-	$(GO) run ./cmd/ppmlint -run golifetime,ctxflow,lockorder,mustclose ./...
 
 # Codegen budget gate over the hot set (internal/lint/hotset): fails when a
 # hot function gains a heap escape, a surviving bounds check or an inlining
@@ -125,4 +124,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSessionPredict -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzUpload -fuzztime=$(FUZZTIME) ./internal/serve
 
-ci: build lint gates race grid-smoke serve-smoke session-smoke check-quick check-ittage bench-smoke fuzz-smoke
+ci: build lint gates race test-386 grid-smoke serve-smoke session-smoke check-quick check-ittage bench-smoke fuzz-smoke

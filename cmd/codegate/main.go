@@ -10,9 +10,10 @@
 //
 // A change that adds one of those to a hot function fails with an
 // added/removed diff naming the function, and under each key above budget
-// the file:line of every diagnostic charged to it. Intentional changes are
-// recorded with `make gates-update` (codegate -update) and reviewed as a
-// baseline diff.
+// the file:line of every diagnostic charged to it. An inlining refusal is
+// budgeted by the compiler's cost: a rise fails as "cost A → B", a fall is
+// slack. Intentional changes are recorded with `make gates-update`
+// (codegate -update) and reviewed as a baseline diff.
 //
 // Usage:
 //
@@ -44,12 +45,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	lines, npkgs, err := measure()
+	current, lines, npkgs, err := measure()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codegate:", err)
 		os.Exit(2)
 	}
-	current := gate.Counts(lines)
 	t := gate.Totals(current)
 	summary := fmt.Sprintf("%d escapes, %d bounds checks, %d non-inlinable functions across %d hot packages",
 		t[gate.Escape], t[gate.BCE], t[gate.Inline], npkgs)
@@ -57,7 +57,8 @@ func main() {
 	if *update {
 		header := []string{
 			"Codegen budget for the hot set (internal/lint/hotset), one line per key:",
-			"<count>\\t<escape|bce|inline>\\t<file>\\t<function>\\t<compiler message>.",
+			"<count>\\t<escape|bce>\\t<file>\\t<function>\\t<compiler message>, or",
+			"<cost>\\tinline\\t<file>\\t<function> for a function the compiler will not inline.",
 			"Generated by `make gates-update`; checked by `make gates`.",
 		}
 		if err := gate.Write(baseline, header, current); err != nil {
@@ -73,28 +74,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "codegate: %v (run `make gates-update` to create the baseline)\n", err)
 		os.Exit(2)
 	}
-	if gate.Diff("codegate", lines, budget, "make gates-update", os.Stdout, os.Stderr) {
+	if gate.Diff("codegate", current, lines, budget, "make gates-update", os.Stdout, os.Stderr) {
 		os.Exit(1)
 	}
 	fmt.Printf("codegate: %s within budget\n", summary)
 }
 
 // measure loads the module, builds its hot packages once with the
-// diagnostic flags, and returns the attributed diagnostic lines and the
-// number of packages built.
-func measure() (map[string][]int, int, error) {
+// diagnostic flags, and returns the attributed per-key counts and lines and
+// the number of packages built.
+func measure() (map[string]int, map[string][]int, int, error) {
 	pkgs, err := lint.Load("", "./...")
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	funcs, hotPkgs := gate.HotFuncs(pkgs, cwd)
 	diags, err := gate.Build(gcflags, hotPkgs)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	return gate.Attribute(diags, funcs), len(hotPkgs), nil
+	counts, lines := gate.Attribute(diags, funcs)
+	return counts, lines, len(hotPkgs), nil
 }

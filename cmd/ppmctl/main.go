@@ -5,19 +5,14 @@
 //	ppmctl status j-1
 //	ppmctl results j-1 -render -title "Figure 6: misprediction ratios (%), 2K-entry predictors"
 //	ppmctl cancel j-1
-//	ppmctl bench -c 4 -n 64 -workloads eqn -events 2000
 //	ppmctl session create -predictor PPM-hyb
 //	ppmctl session predict -workload eqn -events 1000 s-1
-//	ppmctl bench -sessions 200 -c 8 -workloads eqn -events 1000
 //
 // submit posts a job spec (or streams an IBT2 trace file) and prints the
 // created job's status JSON; with -wait it follows the NDJSON result stream
 // to completion. results replays/follows a job's stream; -render collects
 // the cells and prints the same misprediction matrix cmd/experiments
-// renders, byte-identical for identical cells. bench is a closed-loop load
-// generator: -c concurrent workers each submit a job and stream it to
-// completion, 429 responses honour Retry-After and retry, and the run
-// reports achieved QPS, error/shed counts and p50/p99 job latency.
+// renders, byte-identical for identical cells.
 package main
 
 import (
@@ -29,11 +24,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -51,8 +42,7 @@ commands:
   results  stream a job's NDJSON results (-render for the matrix view)
   cancel   cancel a job
   stats    print the server's /statsz counters
-  session  live prediction sessions (create/list/status/close/predict/state/restore)
-  bench    closed-loop load generator against the server (-sessions N for live sessions)`)
+  session  live prediction sessions (create/list/status/close/predict/state/restore)`)
 	return 2
 }
 
@@ -82,8 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.stats(stdout, stderr)
 	case "session":
 		return c.session(rest, stdout, stderr)
-	case "bench":
-		return c.bench(rest, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "ppmctl: unknown command %q\n", cmd)
 		return usage(stderr)
@@ -109,15 +97,6 @@ func errorBody(resp *http.Response) error {
 		body.Error = resp.Status
 	}
 	return fmt.Errorf("server: %s (HTTP %d)", body.Error, resp.StatusCode)
-}
-
-// specFlags registers the job-spec flags shared by submit and bench.
-func specFlags(fs *flag.FlagSet) (suite, workloads, predictors *string, events *int) {
-	suite = fs.String("suite", "", `predictor suite: "fig6" (default) or "fig7"`)
-	workloads = fs.String("workloads", "", "comma-separated run names (empty = full suite)")
-	predictors = fs.String("predictors", "", "comma-separated predictor labels instead of a suite")
-	events = fs.Int("events", 0, "MT dispatch events per run (0 = server default)")
-	return
 }
 
 func buildSpec(suite, workloads, predictors string, events int) serve.JobSpec {
@@ -191,7 +170,10 @@ func (c *client) stream(id string, raw io.Writer) ([]serve.CellResult, serve.Eve
 func (c *client) submit(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppmctl submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	suite, workloads, predictors, events := specFlags(fs)
+	suite := fs.String("suite", "", `predictor suite: "fig6" (default) or "fig7"`)
+	workloads := fs.String("workloads", "", "comma-separated run names (empty = full suite)")
+	predictors := fs.String("predictors", "", "comma-separated predictor labels instead of a suite")
+	events := fs.Int("events", 0, "MT dispatch events per run (0 = server default)")
 	traceFile := fs.String("trace", "", "upload this IBT2 trace file instead of naming workloads")
 	label := fs.String("label", "", "row label for an uploaded trace")
 	wait := fs.Bool("wait", false, "follow the result stream to completion")
@@ -326,119 +308,6 @@ func (c *client) stats(stdout, stderr io.Writer) int {
 	defer resp.Body.Close()
 	_, _ = io.Copy(stdout, resp.Body)
 	return 0
-}
-
-// bench drives the server closed-loop: each of -c workers repeatedly
-// submits a job and streams it to completion until -n jobs have finished.
-// 429 responses honour Retry-After and retry the same job; anything else is
-// an error. Latency is per job, submit to done event.
-func (c *client) bench(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("ppmctl bench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	suite, workloads, predictors, events := specFlags(fs)
-	conc := fs.Int("c", 4, "concurrent closed-loop workers")
-	total := fs.Int("n", 32, "total jobs to run")
-	sessions := fs.Int("sessions", 0, "drive N live prediction sessions instead of jobs")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *sessions > 0 {
-		// Live-session mode: -workloads names the generator run (first
-		// entry), -predictors the session's family (first entry).
-		run := strings.Split(*workloads, ",")[0]
-		pred := strings.Split(*predictors, ",")[0]
-		return c.benchSessions(*sessions, *conc, pred, run, *events, stdout, stderr)
-	}
-	spec := buildSpec(*suite, *workloads, *predictors, *events)
-
-	var (
-		//lint:shared closed-loop bench counters: per-job increments are dwarfed by HTTP round-trips
-		next, completed, errors, shed atomic.Int64
-		mu                            sync.Mutex
-		p50                           = serve.NewP2(0.50)
-		p99                           = serve.NewP2(0.99)
-	)
-	start := time.Now() //lint:wallclock load generator measures real elapsed time
-	var wg sync.WaitGroup
-	for w := 0; w < *conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for next.Add(1) <= int64(*total) {
-				t0 := time.Now() //lint:wallclock per-job latency sample
-				if err := c.benchOne(spec, &shed); err != nil {
-					errors.Add(1)
-					fmt.Fprintln(stderr, "ppmctl bench:", err)
-					continue
-				}
-				ms := float64(time.Since(t0)) / float64(time.Millisecond) //lint:wallclock per-job latency sample
-				mu.Lock()
-				p50.Observe(ms)
-				p99.Observe(ms)
-				mu.Unlock()
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start) //lint:wallclock load generator measures real elapsed time
-
-	done := completed.Load()
-	qps := float64(done) / elapsed.Seconds()
-	errRate := float64(errors.Load()) / float64(*total)
-	fmt.Fprintf(stdout, "jobs:       %d/%d completed, %d errors, %d sheds retried\n",
-		done, *total, errors.Load(), shed.Load())
-	fmt.Fprintf(stdout, "elapsed:    %.2fs\n", elapsed.Seconds())
-	fmt.Fprintf(stdout, "throughput: %.1f jobs/s\n", qps)
-	fmt.Fprintf(stdout, "error rate: %.1f%%\n", 100*errRate)
-	fmt.Fprintf(stdout, "latency:    p50 %.1fms  p99 %.1fms\n", p50.Quantile(), p99.Quantile())
-	if errors.Load() > 0 {
-		return 1
-	}
-	return 0
-}
-
-// benchOne runs one job to completion, retrying sheds after the server's
-// advisory delay.
-func (c *client) benchOne(spec serve.JobSpec, shed *atomic.Int64) error {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	for {
-		resp, err := http.Post(c.base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			delay := time.Second
-			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-				delay = time.Duration(s) * time.Second
-			}
-			resp.Body.Close()
-			shed.Add(1)
-			time.Sleep(delay)
-			continue
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			defer resp.Body.Close()
-			return errorBody(resp)
-		}
-		var st serve.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		_, done, err := c.stream(st.ID, nil)
-		if err != nil {
-			return err
-		}
-		if done.State != serve.StateDone {
-			return fmt.Errorf("job %s finished %s: %s", st.ID, done.State, done.Error)
-		}
-		return nil
-	}
 }
 
 func printJSON(w io.Writer, v any) {

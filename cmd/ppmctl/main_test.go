@@ -113,27 +113,12 @@ func TestUploadTraceFile(t *testing.T) {
 	}
 }
 
-func TestBench(t *testing.T) {
-	url := testBackend(t)
-	code, out, errOut := ppmctl(t, url,
-		"bench", "-c", "2", "-n", "4", "-workloads", "eqn", "-events", "200")
-	if code != 0 {
-		t.Fatalf("bench exit %d: %s", code, errOut)
-	}
-	if !strings.Contains(out, "4/4 completed, 0 errors") {
-		t.Errorf("bench report:\n%s", out)
-	}
-	for _, want := range []string{"throughput:", "error rate:", "latency:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench report missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestErrors(t *testing.T) {
 	url := testBackend(t)
-	if code, _, _ := ppmctl(t, url, "nonsense"); code != 2 {
-		t.Errorf("unknown command exit %d, want 2", code)
+	for _, cmd := range []string{"nonsense", "bench"} {
+		if code, _, errOut := ppmctl(t, url, cmd); code != 2 || !strings.Contains(errOut, "unknown command") {
+			t.Errorf("%s: exit %d err %q, want 2 and unknown command", cmd, code, errOut)
+		}
 	}
 	if code, _, _ := ppmctl(t, url); code != 2 {
 		t.Errorf("no command exit %d, want 2", code)

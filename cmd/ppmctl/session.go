@@ -9,10 +9,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/serve"
@@ -84,7 +80,7 @@ func (c *client) sessionCreate(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	st, err := c.createSession(*predictor, nil)
+	st, err := c.createSession(*predictor)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -92,37 +88,22 @@ func (c *client) sessionCreate(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// createSession posts a session spec; shed, when non-nil, makes 429
-// responses honour Retry-After and retry (the bench closed loop).
-func (c *client) createSession(predictor string, shed *atomic.Int64) (serve.SessionStatus, error) {
+// createSession posts a session spec and decodes the created status.
+func (c *client) createSession(predictor string) (serve.SessionStatus, error) {
 	body, err := json.Marshal(serve.SessionSpec{Predictor: predictor})
 	if err != nil {
 		return serve.SessionStatus{}, err
 	}
-	for {
-		resp, err := http.Post(c.base+"/v1/sessions", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return serve.SessionStatus{}, err
-		}
-		if shed != nil && resp.StatusCode == http.StatusTooManyRequests {
-			delay := time.Second
-			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-				delay = time.Duration(s) * time.Second
-			}
-			resp.Body.Close()
-			shed.Add(1)
-			time.Sleep(delay)
-			continue
-		}
-		if resp.StatusCode != http.StatusCreated {
-			defer resp.Body.Close()
-			return serve.SessionStatus{}, errorBody(resp)
-		}
-		var st serve.SessionStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		return st, err
+	resp, err := http.Post(c.base+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return serve.SessionStatus{}, err
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		return serve.SessionStatus{}, errorBody(resp)
+	}
+	var st serve.SessionStatus
+	return st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
 func (c *client) sessionClose(args []string, stdout, stderr io.Writer) int {
@@ -279,114 +260,4 @@ func (c *client) sessionRestore(args []string, stdout, stderr io.Writer) int {
 	}
 	_, _ = io.Copy(stdout, resp.Body)
 	return 0
-}
-
-// benchSessions is the live-session closed loop: -c workers create sessions
-// and stream the same pre-encoded trace through each, leaving sessions open
-// so the server's byte budget and TTL do the bounding — exactly the
-// many-concurrent-users shape. Reports sessions/s, predict latency and the
-// mean serialized bytes per trained session.
-func (c *client) benchSessions(total, conc int, predictor, workload string, events int, stdout, stderr io.Writer) int {
-	run := workload
-	if run == "" {
-		run = "eqn"
-	}
-	body, err := encodeWorkload(run, events)
-	if err != nil {
-		return fail(stderr, err)
-	}
-
-	var (
-		//lint:shared closed-loop bench counters: per-session increments are dwarfed by HTTP round-trips
-		next, completed, errors, shed atomic.Int64
-		//lint:shared closed-loop bench counters: per-session increments are dwarfed by HTTP round-trips
-		records, stateBytes atomic.Int64
-		mu                  sync.Mutex
-		p50                 = serve.NewP2(0.50)
-		p99                 = serve.NewP2(0.99)
-	)
-	start := time.Now() //lint:wallclock load generator measures real elapsed time
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for next.Add(1) <= int64(total) {
-				st, err := c.createSession(predictor, &shed)
-				if err != nil {
-					errors.Add(1)
-					fmt.Fprintln(stderr, "ppmctl bench:", err)
-					continue
-				}
-				t0 := time.Now() //lint:wallclock per-predict latency sample
-				done, err := c.predictDone(st.ID, body)
-				if err != nil {
-					errors.Add(1)
-					fmt.Fprintln(stderr, "ppmctl bench:", err)
-					continue
-				}
-				ms := float64(time.Since(t0)) / float64(time.Millisecond) //lint:wallclock per-predict latency sample
-				mu.Lock()
-				p50.Observe(ms)
-				p99.Observe(ms)
-				mu.Unlock()
-				records.Add(int64(done.Session.Records))
-				stateBytes.Add(done.Session.StateBytes)
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start) //lint:wallclock load generator measures real elapsed time
-
-	doneN := completed.Load()
-	fmt.Fprintf(stdout, "sessions:      %d/%d completed, %d errors, %d sheds retried\n",
-		doneN, total, errors.Load(), shed.Load())
-	fmt.Fprintf(stdout, "elapsed:       %.2fs\n", elapsed.Seconds())
-	fmt.Fprintf(stdout, "throughput:    %.1f sessions/s\n", float64(doneN)/elapsed.Seconds())
-	fmt.Fprintf(stdout, "records:       %d streamed\n", records.Load())
-	if doneN > 0 {
-		fmt.Fprintf(stdout, "bytes/session: %.0f\n", float64(stateBytes.Load())/float64(doneN))
-	}
-	fmt.Fprintf(stdout, "latency:       p50 %.1fms  p99 %.1fms (predict call)\n", p50.Quantile(), p99.Quantile())
-	if errors.Load() > 0 {
-		return 1
-	}
-	return 0
-}
-
-// predictDone streams one predict body and returns the terminal done event,
-// discarding the per-dispatch lines.
-func (c *client) predictDone(id string, body []byte) (serve.PredictEvent, error) {
-	resp, err := http.Post(c.base+"/v1/sessions/"+id+"/predict",
-		"application/x-ibt2", bytes.NewReader(body))
-	if err != nil {
-		return serve.PredictEvent{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return serve.PredictEvent{}, errorBody(resp)
-	}
-	var done serve.PredictEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev serve.PredictEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return serve.PredictEvent{}, fmt.Errorf("bad stream line: %w", err)
-		}
-		switch ev.Type {
-		case "done":
-			done = ev
-		case "error":
-			return serve.PredictEvent{}, fmt.Errorf("session %s: %s", id, ev.Error)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return serve.PredictEvent{}, err
-	}
-	if done.Type != "done" || done.Session == nil {
-		return serve.PredictEvent{}, fmt.Errorf("session %s: stream ended without a done event", id)
-	}
-	return done, nil
 }

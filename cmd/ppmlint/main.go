@@ -27,7 +27,7 @@
 //	mustclose    Close/Flush/Shutdown/Sync error returns must be checked
 //	             or explicitly discarded (//lint:closeerr escapes)
 //	falseshare   atomic counter fields may not share a cache line; pad each
-//	             to 64 bytes (//lint:shared escapes)
+//	             to 64 bytes
 //
 // ppmlint prints each finding as file:line:col: message [analyzer] and exits
 // non-zero when there are findings, so `make lint` and CI fail on them. With

@@ -18,10 +18,8 @@
 //     variables, which the stack frame or the tiny allocator may pack
 //     adjacently.
 //
-// The fix is to pad each hot field to its own line (embed the atomic in a
-// struct with a trailing [56]byte blank field) or, when the counters are
-// provably low-rate, annotate the reported line with
-// `//lint:shared <reason>`.
+// The fix is to pad each hot field to its own line: embed the atomic in a
+// struct with a trailing [56]byte blank field.
 package falseshare
 
 import (
@@ -37,15 +35,9 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "falseshare",
 	Doc: "atomic struct fields and var blocks mutated by concurrent workers " +
-		"must not share a 64-byte cache line; pad to a line or escape with " +
-		"//lint:shared <reason>",
-	Escape: "//lint:shared <reason>",
-	Run:    run,
+		"must not share a 64-byte cache line; pad each to a line",
+	Run: run,
 }
-
-// sharedDirective is the per-line escape hatch for provably low-rate
-// counters.
-const sharedDirective = "shared"
 
 // cacheLine is the coherence granularity on every platform the simulator
 // targets (amd64, arm64).
@@ -60,13 +52,12 @@ func run(pass *lint.Pass) error {
 		sizes = &types.StdSizes{WordSize: 8, MaxAlign: 8}
 	}
 	for _, file := range pass.Files {
-		escaped := pass.EscapeLines(file, sharedDirective)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.StructType:
-				checkStruct(pass, x, escaped)
+				checkStruct(pass, x)
 			case *ast.ValueSpec:
-				checkVarSpec(pass, x, escaped)
+				checkVarSpec(pass, x)
 			}
 			return true
 		})
@@ -83,7 +74,7 @@ type atomicSpan struct {
 
 // checkStruct lays out one struct type and reports each cache line holding
 // more than one atomic word.
-func checkStruct(pass *lint.Pass, st *ast.StructType, escaped map[int]bool) {
+func checkStruct(pass *lint.Pass, st *ast.StructType) {
 	t, ok := pass.TypesInfo.TypeOf(st).(*types.Struct)
 	if !ok || t.NumFields() == 0 {
 		return
@@ -103,14 +94,11 @@ func checkStruct(pass *lint.Pass, st *ast.StructType, escaped map[int]bool) {
 		}
 		first := group[0]
 		pos := fieldPos(pass, st, t, strings.SplitN(first.path, ".", 2)[0])
-		if lint.Escaped(pass.Fset, escaped, pos) {
-			continue
-		}
 		names := make([]string, len(group))
 		for i, s := range group {
 			names[i] = s.path
 		}
-		pass.Reportf(pos, "atomic fields %s share a cache line and false-share under concurrent writers; pad each to %d bytes or annotate //lint:shared <reason>",
+		pass.Reportf(pos, "atomic fields %s share a cache line and false-share under concurrent writers; pad each to %d bytes",
 			strings.Join(names, ", "), cacheLine)
 	}
 }
@@ -191,7 +179,7 @@ func embeddedName(e ast.Expr) *ast.Ident {
 
 // checkVarSpec reports a single var spec declaring two or more atomic
 // variables: the frame or the tiny allocator may pack them into one line.
-func checkVarSpec(pass *lint.Pass, spec *ast.ValueSpec, escaped map[int]bool) {
+func checkVarSpec(pass *lint.Pass, spec *ast.ValueSpec) {
 	var atomics []string
 	for _, name := range spec.Names {
 		obj := pass.TypesInfo.ObjectOf(name)
@@ -205,9 +193,6 @@ func checkVarSpec(pass *lint.Pass, spec *ast.ValueSpec, escaped map[int]bool) {
 	if len(atomics) < 2 {
 		return
 	}
-	if lint.Escaped(pass.Fset, escaped, spec.Pos()) {
-		return
-	}
-	pass.Reportf(spec.Pos(), "atomic variables %s are declared together and may share a cache line under concurrent writers; hoist into a padded struct or annotate //lint:shared <reason>",
+	pass.Reportf(spec.Pos(), "atomic variables %s are declared together and may share a cache line under concurrent writers; hoist into a padded struct",
 		strings.Join(atomics, ", "))
 }

@@ -1,5 +1,5 @@
 // Package a is the falseshare fixture: adjacent atomics in structs and var
-// blocks, the padded-wrapper fix, and the //lint:shared escape.
+// blocks, and the padded-wrapper fix.
 package a
 
 import "sync/atomic"
@@ -48,15 +48,9 @@ type wrapped struct {
 	inner inner // want `atomic fields inner.a, inner.b share a cache line`
 }
 
-// blessed is a low-rate counter pair and says so.
+// blessed is a low-rate counter pair: a comment claiming so is no escape.
 type blessed struct {
-	starts atomic.Uint64 //lint:shared process-lifetime counters bumped once per job, not per record
-	stops  atomic.Uint64
-}
-
-// bare escapes without a reason: suppressed, but rejected.
-type bare struct {
-	starts atomic.Uint64 /*lint:shared*/ // want `//lint:shared directive needs a reason sentence`
+	starts atomic.Uint64 // want `atomic fields starts, stops share a cache line`
 	stops  atomic.Uint64
 }
 

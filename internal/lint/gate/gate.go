@@ -4,14 +4,20 @@
 // hot function (internal/lint/hotset) whose source span contains it; the
 // keyed counts diffed against one checked-in baseline.
 //
-// A key is "<kind>\t<file>\t<function>\t<message>", kind one of escape, bce
-// or inline. Keys carry no line numbers, so unrelated edits do not churn
-// the budget. Diagnostics outside the hot set — constructors, snapshot
+// An escape or bce key is "<kind>\t<file>\t<function>\t<message>" and its
+// budget is a count of diagnostics. An inline key is
+// "inline\t<file>\t<function>" and its budget is the compiler's inlining
+// cost for the function, so a cost rise fails and a fall is slack; a
+// refusal the compiler gives no cost for keys its reason instead
+// ("inline\t<file>\t<function>\t<reason>", count 1), so it fails as a new
+// key. Keys carry no line numbers, so unrelated edits do not churn the
+// budget. Diagnostics outside the hot set — constructors, snapshot
 // codecs, handlers, standard-library generic instantiations — are dropped:
 // the gate budgets only what runs once per lookup. The drift report is an
 // added/removed diff plus the re-baseline hint, so a failing gate names the
 // function that gained a diagnostic; under each key above budget it lists
-// the file:line of every current diagnostic charged to that key.
+// the file:line of every current diagnostic charged to that key (an inline
+// key's is its function's first line).
 package gate
 
 import (
@@ -113,21 +119,26 @@ func HotFuncs(pkgs []*lint.Package, dir string) (funcs []Func, hotPkgs []string)
 	return funcs, hotPkgs
 }
 
+// inlineCost matches the refusal reason that carries the compiler's cost.
+var inlineCost = regexp.MustCompile(`^function too complex: cost (\d+) exceeds budget \d+$`)
+
 // Attribute charges each diagnostic to the hot function whose span contains
-// it and returns, per key, the line of each diagnostic charged to it, in
-// line order (the key names the file); the list's length is the key's
-// count (see Counts).
+// it and returns, per key, its measure against the budget (the compiler's
+// cost for an inline cost key, otherwise the number of diagnostics) and
+// the line of each diagnostic charged to it, in line order (the key names
+// the file).
 // A diagnostic at an inlined call lands on the caller's line, so it is
 // charged to the caller. Escapes count in the colon-less form only: under
 // -m=2 the "... escapes to heap:" twin opens the flow explanation of the
 // same escape. Every hot function without a "can inline" verdict yields an
-// inline key with the compiler's reason, at the function's first line.
-func Attribute(diags []Diag, funcs []Func) map[string][]int {
+// inline key at the function's first line, charged the compiler's cost, or
+// keyed by the reason when the compiler gives no cost.
+func Attribute(diags []Diag, funcs []Func) (counts map[string]int, lines map[string][]int) {
 	byFile := map[string][]Func{}
 	for _, f := range funcs {
 		byFile[f.File] = append(byFile[f.File], f)
 	}
-	lines := map[string][]int{}
+	lines = map[string][]int{}
 	inlinable := map[Func]bool{}
 	refused := map[Func]string{}
 	for _, d := range diags {
@@ -150,13 +161,18 @@ func Attribute(diags []Diag, funcs []Func) map[string][]int {
 		var k string
 		switch {
 		case strings.HasSuffix(d.Msg, "escapes to heap") || strings.HasPrefix(d.Msg, "moved to heap: "):
-			k = key(Escape, f, d.Msg)
+			k = key(Escape, f) + "\t" + d.Msg
 		case d.Msg == "Found IsInBounds" || d.Msg == "Found IsSliceInBounds":
-			k = key(BCE, f, d.Msg)
+			k = key(BCE, f) + "\t" + d.Msg
 		default:
 			continue
 		}
 		lines[k] = append(lines[k], d.Line)
+	}
+	counts = make(map[string]int, len(lines)+len(funcs))
+	for k, ls := range lines {
+		slices.Sort(ls)
+		counts[k] = len(ls)
 	}
 	for _, f := range funcs {
 		if inlinable[f] {
@@ -166,22 +182,15 @@ func Attribute(diags []Diag, funcs []Func) map[string][]int {
 		if !ok {
 			reason = "no inlining verdict from the compiler"
 		}
-		k := key(Inline, f, reason)
-		lines[k] = append(lines[k], f.Start)
+		k, n := key(Inline, f)+"\t"+reason, 1
+		if m := inlineCost.FindStringSubmatch(reason); m != nil {
+			k = key(Inline, f)
+			n, _ = strconv.Atoi(m[1])
+		}
+		counts[k] = n
+		lines[k] = []int{f.Start}
 	}
-	for _, ls := range lines {
-		slices.Sort(ls)
-	}
-	return lines
-}
-
-// Counts reduces attributed lines to the per-key counts a baseline holds.
-func Counts(lines map[string][]int) map[string]int {
-	counts := make(map[string]int, len(lines))
-	for k, ls := range lines {
-		counts[k] = len(ls)
-	}
-	return counts
+	return counts, lines
 }
 
 func enclosing(funcs []Func, line int) (Func, bool) {
@@ -193,15 +202,24 @@ func enclosing(funcs []Func, line int) (Func, bool) {
 	return Func{}, false
 }
 
-func key(kind string, f Func, msg string) string {
-	return kind + "\t" + f.File + "\t" + f.Name + "\t" + msg
+func key(kind string, f Func) string {
+	return kind + "\t" + f.File + "\t" + f.Name
 }
 
-// Totals sums occurrences per key kind.
+// isCost reports whether k is an inline key budgeted by cost.
+func isCost(k string) bool {
+	return strings.HasPrefix(k, Inline+"\t") && strings.Count(k, "\t") == 2
+}
+
+// Totals sums occurrences per key kind; an inline key counts once, as one
+// non-inlinable function, whatever its cost.
 func Totals(counts map[string]int) map[string]int {
 	totals := map[string]int{}
 	for k, n := range counts {
 		kind, _, _ := strings.Cut(k, "\t")
+		if kind == Inline {
+			n = 1
+		}
 		totals[kind] += n
 	}
 	return totals
@@ -244,29 +262,30 @@ func Read(path string) (map[string]int, error) {
 	return counts, nil
 }
 
-// Diff compares the current attribution (see Attribute) against the
-// baseline counts and prints the drift as an added/removed diff: "+n key"
-// for diagnostics above budget (these fail the gate), each followed by the
-// file:line of every current diagnostic under that key, since the key
-// alone cannot say which one is new; "-n key" for budgeted diagnostics no
-// longer present (advisory slack). It reports whether the gate failed; on
-// any drift it prints the updateCmd re-baseline hint. Failure lines go to
-// errw, advisory lines to outw.
-func Diff(tool string, current map[string][]int, budget map[string]int, updateCmd string, outw, errw io.Writer) (failed bool) {
+// Diff compares the current counts and lines (see Attribute) against the
+// baseline budget and prints the drift as an added/removed diff: "+n key"
+// for diagnostics above budget and "cost A → B key" for an inline cost
+// rise (these fail the gate), each followed by the file:line of every
+// current diagnostic under that key, since the key alone cannot say which
+// one is new; "-n key" for budgeted diagnostics no longer present and
+// "cost A → B key" for a cost fall (advisory slack). It reports whether
+// the gate failed; on any drift it prints the updateCmd re-baseline hint.
+// Failure lines go to errw, advisory lines to outw.
+func Diff(tool string, current map[string]int, lines map[string][]int, budget map[string]int, updateCmd string, outw, errw io.Writer) (failed bool) {
 	var added, removed []string
 	for _, k := range sortedKeys(current) {
-		if n := len(current[k]); n > budget[k] {
-			added = append(added, fmt.Sprintf("  +%d  %s", n-budget[k], strings.ReplaceAll(k, "\t", ": ")))
+		if n := current[k]; n > budget[k] {
+			added = append(added, drift(k, budget[k], n))
 			_, rest, _ := strings.Cut(k, "\t")
 			file, _, _ := strings.Cut(rest, "\t")
-			for _, l := range current[k] {
+			for _, l := range lines[k] {
 				added = append(added, fmt.Sprintf("        %s:%d", file, l))
 			}
 		}
 	}
 	for _, k := range sortedKeys(budget) {
-		if n := len(current[k]); n < budget[k] {
-			removed = append(removed, fmt.Sprintf("  -%d  %s", budget[k]-n, strings.ReplaceAll(k, "\t", ": ")))
+		if n := current[k]; n < budget[k] {
+			removed = append(removed, drift(k, budget[k], n))
 		}
 	}
 
@@ -278,7 +297,7 @@ func Diff(tool string, current map[string][]int, budget map[string]int, updateCm
 		}
 	}
 	if len(removed) > 0 {
-		fmt.Fprintf(outw, "%s: note: baseline has slack (budgeted diagnostics no longer present):\n", tool)
+		fmt.Fprintf(outw, "%s: note: baseline has slack (budgeted diagnostics no longer present or inline costs fallen):\n", tool)
 		for _, l := range removed {
 			fmt.Fprintln(outw, l)
 		}
@@ -289,6 +308,20 @@ func Diff(tool string, current map[string][]int, budget map[string]int, updateCm
 		fmt.Fprintf(outw, "%s: note: run `%s` to tighten the baseline\n", tool, updateCmd)
 	}
 	return failed
+}
+
+// drift renders key k moving from budget b to measure n.
+func drift(k string, b, n int) string {
+	name := strings.ReplaceAll(k, "\t", ": ")
+	switch {
+	case !isCost(k):
+		return fmt.Sprintf("  %+d  %s", n-b, name)
+	case b == 0:
+		return fmt.Sprintf("  +1  %s: cost %d", name, n)
+	case n == 0:
+		return fmt.Sprintf("  -1  %s: cost %d", name, b)
+	}
+	return fmt.Sprintf("  cost %d → %d  %s", b, n, name)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -119,8 +119,7 @@ func fixtureDiags(t *testing.T, src string) []Diag {
 }
 
 func TestAttribute(t *testing.T) {
-	lines := Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc))
-	got := Counts(lines)
+	got, lines := Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc))
 	want := map[string]int{
 		// The inlined callee's make is charged to the caller, once.
 		"escape\tinternal/hot/hot.go\t(*Table).Lookup\tmake([]uint64, n) escapes to heap": 1,
@@ -157,25 +156,51 @@ func TestAttributeInlineVerdicts(t *testing.T) {
 		// A closure's verdict inside a hot function is not the function's.
 		at(t, fixtureSrc, "@index", "cannot inline (*Table).Lookup.func1: unhandled op CLOSURE"),
 	}
-	got := Counts(Attribute(diags, fixtureFuncs(t, fixtureSrc)))
+	got, _ := Attribute(diags, fixtureFuncs(t, fixtureSrc))
 	want := map[string]int{"inline\tinternal/hot/hot.go\t(*Table).ensureSlow\tmarked go:noinline": 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("keys:\n%s\nwant:\n%s", dump(got), dump(want))
 	}
 }
 
+// TestAttributeInlineCost pins the inline key's shape: a refusal for cost
+// is keyed by the function alone and charged the compiler's cost, so the
+// cost is the budget; a refusal without a cost keeps its reason in the key.
+func TestAttributeInlineCost(t *testing.T) {
+	decl := lineOf(t, fixtureSrc, "func (t *Table) Lookup")
+	diags := []Diag{
+		{File: "internal/hot/hot.go", Line: decl, Msg: "cannot inline (*Table).Lookup: function too complex: cost 166 exceeds budget 80"},
+		{File: "internal/hot/hot.go", Line: lineOf(t, fixtureSrc, "func (t *Table) ensureSlow"), Msg: "cannot inline (*Table).ensureSlow: marked go:noinline"},
+	}
+	got, lines := Attribute(diags, fixtureFuncs(t, fixtureSrc))
+	want := map[string]int{
+		"inline\tinternal/hot/hot.go\t(*Table).Lookup":                         166,
+		"inline\tinternal/hot/hot.go\t(*Table).ensureSlow\tmarked go:noinline": 1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("keys:\n%s\nwant:\n%s", dump(got), dump(want))
+	}
+	if l := lines["inline\tinternal/hot/hot.go\t(*Table).Lookup"]; !reflect.DeepEqual(l, []int{decl}) {
+		t.Errorf("inline cost key lines %v, want [%d]", l, decl)
+	}
+	if n := Totals(got)[Inline]; n != 2 {
+		t.Errorf("Totals counts %d non-inlinable functions, want 2", n)
+	}
+}
+
 func TestAttributeIgnoresLineShift(t *testing.T) {
 	shifted := strings.Replace(fixtureSrc, "// Lookup is", "\n\n\n\n// Lookup is", 1)
-	before := Counts(Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc)))
-	after := Counts(Attribute(fixtureDiags(t, shifted), fixtureFuncs(t, shifted)))
+	before, _ := Attribute(fixtureDiags(t, fixtureSrc), fixtureFuncs(t, fixtureSrc))
+	after, _ := Attribute(fixtureDiags(t, shifted), fixtureFuncs(t, shifted))
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("shifting Lookup changed the keys:\n%s\nvs\n%s", dump(before), dump(after))
 	}
 }
 
 func TestTotals(t *testing.T) {
-	got := Totals(map[string]int{"escape\ta": 2, "escape\tb": 1, "bce\tc": 4})
-	if want := map[string]int{Escape: 3, BCE: 4}; !reflect.DeepEqual(got, want) {
+	got := Totals(map[string]int{"escape\ta": 2, "escape\tb": 1, "bce\tc": 4, "inline\td\tf": 166, "inline\td\tg\tmarked go:noinline": 1})
+	// An inline key is one function, whatever its cost.
+	if want := map[string]int{Escape: 3, BCE: 4, Inline: 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("totals = %v, want %v", got, want)
 	}
 }
@@ -185,6 +210,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	counts := map[string]int{
 		"escape\ta.go\tf\tx escapes to heap": 2,
 		"bce\tb.go\tg\tFound IsInBounds":     1,
+		"inline\tc.go\th":                    166,
 	}
 	if err := Write(path, []string{"header one", "header two"}, counts); err != nil {
 		t.Fatal(err)
@@ -213,7 +239,7 @@ func TestDiffAddedFailsRemovedAdvises(t *testing.T) {
 	budget := map[string]int{"bce\tb.go\tsame": 2, "bce\tc.go\tgone": 3}
 	var out, errb bytes.Buffer
 
-	if !Diff("t", current, budget, "make t-update", &out, &errb) {
+	if !Diff("t", counted(current), current, budget, "make t-update", &out, &errb) {
 		t.Fatal("added diagnostic did not fail the gate")
 	}
 	if !strings.Contains(errb.String(), "+1  bce: a.go: new") {
@@ -243,7 +269,7 @@ func TestDiffNamesLines(t *testing.T) {
 		"escape\tinternal/cbt/cbt.go\t(*CBT).Update\tmoved to heap: x": 3,
 	}
 	var out, errb bytes.Buffer
-	if !Diff("t", current, budget, "make t-update", &out, &errb) {
+	if !Diff("t", counted(current), current, budget, "make t-update", &out, &errb) {
 		t.Fatal("key above budget did not fail the gate")
 	}
 	want := "t: diagnostics above baseline:\n" +
@@ -262,15 +288,76 @@ func TestDiffNamesLines(t *testing.T) {
 	}
 }
 
+// TestDiffInlineCostFallIsSlack: an inline cost below its budget passes
+// and reports the fall as slack for the re-baseline to tighten; a function
+// that became inlinable is slack too.
+func TestDiffInlineCostFallIsSlack(t *testing.T) {
+	current := map[string]int{"inline\tinternal/btb/btb.go\t(*BTB).Update": 84}
+	lines := map[string][]int{"inline\tinternal/btb/btb.go\t(*BTB).Update": {120}}
+	budget := map[string]int{
+		"inline\tinternal/btb/btb.go\t(*BTB).Update":  90,
+		"inline\tinternal/btb/btb.go\t(*BTB).Predict": 95,
+	}
+	var out, errb bytes.Buffer
+	if Diff("t", current, lines, budget, "make t-update", &out, &errb) {
+		t.Fatalf("cost fall failed the gate:\n%s", errb.String())
+	}
+	want := "t: note: baseline has slack (budgeted diagnostics no longer present or inline costs fallen):\n" +
+		"  -1  inline: internal/btb/btb.go: (*BTB).Predict: cost 95\n" +
+		"  cost 90 → 84  inline: internal/btb/btb.go: (*BTB).Update\n" +
+		"t: note: run `make t-update` to tighten the baseline\n"
+	if out.String() != want || errb.Len() != 0 {
+		t.Errorf("slack report:\n%s\nwant:\n%s\nstderr: %q", out.String(), want, errb.String())
+	}
+}
+
+// TestDiffInlineCostRiseNamesLine: an inline cost above its budget fails
+// as "cost A → B" followed by the function's file:line; a newly refused
+// function is a new key and fails with its cost.
+func TestDiffInlineCostRiseNamesLine(t *testing.T) {
+	current := map[string]int{
+		"inline\tinternal/btb/btb.go\t(*BTB).Update":  97,
+		"inline\tinternal/btb/btb.go\t(*BTB).Predict": 88,
+	}
+	lines := map[string][]int{
+		"inline\tinternal/btb/btb.go\t(*BTB).Update":  {120},
+		"inline\tinternal/btb/btb.go\t(*BTB).Predict": {80},
+	}
+	budget := map[string]int{"inline\tinternal/btb/btb.go\t(*BTB).Update": 90}
+	var out, errb bytes.Buffer
+	if !Diff("t", current, lines, budget, "make t-update", &out, &errb) {
+		t.Fatal("cost rise did not fail the gate")
+	}
+	want := "t: diagnostics above baseline:\n" +
+		"  +1  inline: internal/btb/btb.go: (*BTB).Predict: cost 88\n" +
+		"        internal/btb/btb.go:80\n" +
+		"  cost 90 → 97  inline: internal/btb/btb.go: (*BTB).Update\n" +
+		"        internal/btb/btb.go:120\n" +
+		"t: fix the new diagnostics or, if intentional, run `make t-update` and commit the baseline diff\n"
+	if errb.String() != want || out.Len() != 0 {
+		t.Errorf("failure report:\n%s\nwant:\n%s\nstdout: %q", errb.String(), want, out.String())
+	}
+}
+
 func TestDiffCleanPasses(t *testing.T) {
 	lines := map[string][]int{"bce\ta.go\tx": {5}}
 	var out, errb bytes.Buffer
-	if Diff("t", lines, Counts(lines), "make t-update", &out, &errb) {
+	if Diff("t", counted(lines), lines, counted(lines), "make t-update", &out, &errb) {
 		t.Fatal("identical counts failed the gate")
 	}
 	if out.Len() != 0 || errb.Len() != 0 {
 		t.Fatalf("clean diff printed output: %q %q", out.String(), errb.String())
 	}
+}
+
+// counted counts each key's lines, as Attribute does for escape and bce
+// keys.
+func counted(lines map[string][]int) map[string]int {
+	counts := make(map[string]int, len(lines))
+	for k, ls := range lines {
+		counts[k] = len(ls)
+	}
+	return counts
 }
 
 func lineOf(t *testing.T, src, text string) int {

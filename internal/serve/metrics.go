@@ -10,7 +10,7 @@ import (
 	"repro/internal/tracecache"
 )
 
-// P2 estimates one quantile of a stream in O(1) memory using the P²
+// p2 estimates one quantile of a stream in O(1) memory using the P²
 // algorithm (Jain & Chlamtac, CACM 1985): five markers track the minimum,
 // the quantile and the maximum plus two midpoints, and each observation
 // nudges the middle markers toward their desired positions with a parabolic
@@ -18,9 +18,9 @@ import (
 // percent on smooth distributions — exactly what a latency p50/p99 gauge
 // needs, with no allocation after construction.
 //
-// The zero value is not usable; call NewP2. Not safe for concurrent use —
+// The zero value is not usable; call newP2. Not safe for concurrent use —
 // latencySketch serializes access.
-type P2 struct {
+type p2 struct {
 	p    float64    // target quantile in (0,1)
 	n    int64      // observations so far
 	pos  [5]float64 // actual marker positions (1-based)
@@ -29,13 +29,13 @@ type P2 struct {
 	q    [5]float64 // marker heights (the estimates)
 }
 
-// NewP2 returns a sketch for the given quantile. Panics if p is not in
+// newP2 returns a sketch for the given quantile. Panics if p is not in
 // (0, 1).
-func NewP2(p float64) *P2 {
+func newP2(p float64) *p2 {
 	if p <= 0 || p >= 1 {
-		panic("serve: P2 quantile must be in (0, 1)")
+		panic("serve: p2 quantile must be in (0, 1)")
 	}
-	return &P2{
+	return &p2{
 		p:    p,
 		pos:  [5]float64{1, 2, 3, 4, 5},
 		want: [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5},
@@ -44,7 +44,7 @@ func NewP2(p float64) *P2 {
 }
 
 // Observe folds one sample into the sketch.
-func (s *P2) Observe(x float64) {
+func (s *p2) Observe(x float64) {
 	s.n++
 	if s.n <= 5 {
 		// Bootstrap: the first five samples become the markers, sorted.
@@ -96,7 +96,7 @@ func (s *P2) Observe(x float64) {
 
 // parabolic is the P² piecewise-parabolic height prediction for moving
 // marker i one position in direction d (±1).
-func (s *P2) parabolic(i int, d float64) float64 {
+func (s *p2) parabolic(i int, d float64) float64 {
 	return s.q[i] + d/(s.pos[i+1]-s.pos[i-1])*
 		((s.pos[i]-s.pos[i-1]+d)*(s.q[i+1]-s.q[i])/(s.pos[i+1]-s.pos[i])+
 			(s.pos[i+1]-s.pos[i]-d)*(s.q[i]-s.q[i-1])/(s.pos[i]-s.pos[i-1]))
@@ -104,7 +104,7 @@ func (s *P2) parabolic(i int, d float64) float64 {
 
 // linear is the fallback height prediction when the parabola overshoots a
 // neighbouring marker.
-func (s *P2) linear(i int, d float64) float64 {
+func (s *p2) linear(i int, d float64) float64 {
 	j := i + int(d)
 	return s.q[i] + d*(s.q[j]-s.q[i])/(s.pos[j]-s.pos[i])
 }
@@ -112,7 +112,7 @@ func (s *P2) linear(i int, d float64) float64 {
 // Quantile returns the current estimate. With fewer than five observations
 // it falls back to the exact order statistic of what has been seen; with
 // none it returns 0.
-func (s *P2) Quantile() float64 {
+func (s *p2) Quantile() float64 {
 	if s.n == 0 {
 		return 0
 	}
@@ -130,17 +130,17 @@ func (s *P2) Quantile() float64 {
 }
 
 // Count returns the number of observations folded in.
-func (s *P2) Count() int64 { return s.n }
+func (s *p2) Count() int64 { return s.n }
 
 // latencySketch tracks job wall-clock latency quantiles.
 type latencySketch struct {
 	mu  sync.Mutex
-	p50 *P2
-	p99 *P2
+	p50 *p2
+	p99 *p2
 }
 
 func newLatencySketch() *latencySketch {
-	return &latencySketch{p50: NewP2(0.50), p99: NewP2(0.99)}
+	return &latencySketch{p50: newP2(0.50), p99: newP2(0.99)}
 }
 
 func (l *latencySketch) observe(d time.Duration) {

@@ -27,16 +27,16 @@ func TestP2PanicsOutsideUnitInterval(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewP2(%v) did not panic", p)
+					t.Errorf("newP2(%v) did not panic", p)
 				}
 			}()
-			NewP2(p)
+			newP2(p)
 		}()
 	}
 }
 
 func TestP2SmallSampleExact(t *testing.T) {
-	s := NewP2(0.5)
+	s := newP2(0.5)
 	if s.Quantile() != 0 {
 		t.Fatalf("empty sketch quantile = %v", s.Quantile())
 	}
@@ -68,7 +68,7 @@ func TestP2TracksKnownQuantiles(t *testing.T) {
 	for name, gen := range streams {
 		for _, p := range []float64{0.5, 0.9, 0.99} {
 			rng := splitmix64(0x5eed)
-			sketch := NewP2(p)
+			sketch := newP2(p)
 			exact := make([]float64, 0, n)
 			for i := 0; i < n; i++ {
 				x := gen(&rng)
@@ -92,7 +92,7 @@ func TestP2TracksKnownQuantiles(t *testing.T) {
 
 func TestP2MonotoneInQuantile(t *testing.T) {
 	rng := splitmix64(42)
-	p50, p90, p99 := NewP2(0.5), NewP2(0.9), NewP2(0.99)
+	p50, p90, p99 := newP2(0.5), newP2(0.9), newP2(0.99)
 	for i := 0; i < 5_000; i++ {
 		x := rng.float() * 1000
 		p50.Observe(x)

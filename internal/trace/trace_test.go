@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -410,10 +411,15 @@ func TestReadAllAdversarialSizeHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A trillion-record claim (2^40): tens of TiB of Records if honored.
-	// If the clamp regresses, this test dies with OOM rather than failing
-	// an assertion — either way CI catches it.
-	r.SetSizeHint(1 << 40)
+	// A trillion-record claim (2^40, or the largest int where int is 32
+	// bits): tens of TiB, or tens of GiB, of Records if honored. If the
+	// clamp regresses, this test dies with OOM rather than failing an
+	// assertion — either way CI catches it.
+	hint := uint64(1) << 40
+	if hint > math.MaxInt {
+		hint = math.MaxInt
+	}
+	r.SetSizeHint(int(hint))
 	got, err := r.ReadAll()
 	if err != nil {
 		t.Fatal(err)
