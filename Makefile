@@ -5,7 +5,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race test-386 lint fmt vet ppmlint gates gates-update grid-smoke serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
+.PHONY: all build test race test-386 lint fmt vet ppmlint gates gates-update grid-smoke outputs-check serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -50,18 +50,28 @@ gates-update:
 	$(GO) run ./cmd/codegate -update
 
 # The experiment grid's correctness gate: every registry entry renders the
-# golden record-engine bytes at every -j, each trace is generated once,
-# straight into blocks that equal converting its records, and allocates
+# golden record-engine bytes at every -j, the generator's traces keep their
+# pinned SHA-256 hashes, each trace is generated once, straight into blocks
+# that equal converting its records, and allocates
 # little more than the blocks it keeps; the block engine stays
 # allocation-free in steady state, the scheduler and the blocks-only trace
 # cache (concurrent generation and eviction included) pass the race
 # detector, and a short full-grid run at -j 4 completes under -race.
 grid-smoke:
 	$(GO) test -run 'TestParallelDeterminism|TestBlockEngineMatchesRecordEngine' ./cmd/experiments
-	$(GO) test -run 'TestBlocksMatchRecordsConversion' ./internal/workload
+	$(GO) test -run 'TestTraceGolden|TestBlocksMatchRecordsConversion' ./internal/workload
 	$(GO) test -run 'TestBlockEngineZeroAllocSteadyState|TestGenerateBlocksAllocBudget' ./internal/bench
 	$(GO) test -race ./internal/tracecache ./internal/sched
 	$(GO) run -race ./cmd/experiments -all -events 2000 -j 4 -cachestats > /dev/null
+
+# The checked-in experiment outputs are what the program prints: full-scale
+# -all and -ext, compared byte for byte with experiments_output.txt and
+# experiments_ext_output.txt.
+outputs-check:
+	@tmp="$$(mktemp -d)" && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
+	"$$tmp/experiments" -all > "$$tmp/all.txt" && cmp "$$tmp/all.txt" experiments_output.txt && \
+	"$$tmp/experiments" -ext > "$$tmp/ext.txt" && cmp "$$tmp/ext.txt" experiments_ext_output.txt
 
 # End-to-end gate for the serving subsystem: boots a real ppmserved on an
 # ephemeral port, runs a fig6 job through ppmctl, diffs the rendered matrix
@@ -124,4 +134,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSessionPredict -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzUpload -fuzztime=$(FUZZTIME) ./internal/serve
 
-ci: build lint gates race test-386 grid-smoke serve-smoke session-smoke check-quick check-ittage bench-smoke fuzz-smoke
+ci: build lint gates race test-386 grid-smoke outputs-check serve-smoke session-smoke check-quick check-ittage bench-smoke fuzz-smoke
