@@ -51,15 +51,16 @@ gates-update:
 
 # The experiment grid's correctness gate: every registry entry renders the
 # golden record-engine bytes at every -j, the generator's traces keep their
-# pinned SHA-256 hashes, each trace is generated once, straight into blocks
-# that equal converting its records, and allocates
+# pinned SHA-256 hashes and its integer gap draw equals the float form, each
+# trace is generated once, straight into blocks that equal converting its
+# records, and allocates
 # little more than the blocks it keeps; the block engine stays
 # allocation-free in steady state, the scheduler and the blocks-only trace
 # cache (concurrent generation and eviction included) pass the race
 # detector, and a short full-grid run at -j 4 completes under -race.
 grid-smoke:
 	$(GO) test -run 'TestParallelDeterminism|TestBlockEngineMatchesRecordEngine' ./cmd/experiments
-	$(GO) test -run 'TestTraceGolden|TestBlocksMatchRecordsConversion' ./internal/workload
+	$(GO) test -run 'TestTraceGolden|TestGapDrawMatchesFloat|TestBlocksMatchRecordsConversion' ./internal/workload
 	$(GO) test -run 'TestBlockEngineZeroAllocSteadyState|TestGenerateBlocksAllocBudget' ./internal/bench
 	$(GO) test -race ./internal/tracecache ./internal/sched
 	$(GO) run -race ./cmd/experiments -all -events 2000 -j 4 -cachestats > /dev/null

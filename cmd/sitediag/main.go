@@ -14,7 +14,6 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -28,12 +27,13 @@ func main() {
 		os.Exit(1)
 	}
 	cfg.Events = *events
-	bb := trace.NewBlockBuilder(trace.BlockCap)
+	blks, sum := cfg.Blocks()
 	prof := analysis.NewProfiler()
-	sum := cfg.Generate(func(r trace.Record) {
-		bb.Append(r)
-		prof.Observe(r)
-	})
+	for k := range blks {
+		for i := range blks[k].Len() {
+			prof.Observe(blks[k].Record(i))
+		}
+	}
 
 	// One engine replays the run through every family; each block's
 	// prediction lanes are tallied by the site population of the dispatch.
@@ -45,7 +45,6 @@ func main() {
 	}
 	eng := sim.New(preds...)
 	perLabel := map[string][]stats.Counters{}
-	blks := bb.Blocks()
 	for k := range blks {
 		b := &blks[k]
 		eng.ProcessBlock(b)

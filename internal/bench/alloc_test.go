@@ -162,17 +162,18 @@ func TestOracleExemptFromZeroAlloc(t *testing.T) {
 }
 
 // TestGenerateBlocksAllocBudget guards trace generation's memory shape:
-// Config.Blocks builds each suite run straight into blocks, so what it
-// allocates stays close to the columnar footprint it returns. Generating
-// into a []Record first and converting (40-byte records, a worst-case
-// preallocation and a trim copy on top of the blocks) costs 3.3-4.0x that
-// footprint; the budget of 1.5x fails if generation ever materializes the
-// record slice again.
+// Config.Blocks writes each suite run's records straight into block lanes
+// and snapshots its histories into preallocated slots, so what it
+// allocates stays close to the columnar footprint it returns (1.18-1.23x
+// on amd64 and 386: the final block's trim copy, the block slice's growth
+// and the generator's own state). Generating into a []Record first and
+// converting costs 3.3-4.0x that footprint, and allocating per snapshot
+// 1.24-1.42x; the budget of 1.25x fails on either.
 func TestGenerateBlocksAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts asserted in the non-race run")
 	}
-	const budget = 1.5
+	const budget = 1.25
 	for _, cfg := range Sized(20000) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -181,7 +182,7 @@ func TestGenerateBlocksAllocBudget(t *testing.T) {
 		alloc := after.TotalAlloc - before.TotalAlloc
 		resident := trace.BlocksBytes(blks)
 		if ratio := float64(alloc) / float64(resident); ratio > budget {
-			t.Errorf("%s: generation allocated %d bytes for %d bytes of blocks (%.2fx, budget %.1fx)",
+			t.Errorf("%s: generation allocated %d bytes for %d bytes of blocks (%.2fx, budget %.2fx)",
 				cfg, alloc, resident, ratio, budget)
 		}
 	}

@@ -285,38 +285,6 @@ func (p *PHR) FoldPacked(in, out uint) uint64 {
 	return hashing.FoldWords(p.packed, in, out)
 }
 
-// State is a snapshot of a PHR's contents, used by the workload generator
-// to model programs that return to previously visited control-flow
-// configurations.
-type State struct {
-	ring   []uint64
-	head   int
-	pushes int
-	packed []uint64
-}
-
-// Snapshot captures the register's current contents.
-func (p *PHR) Snapshot() State {
-	return State{
-		ring:   append([]uint64(nil), p.ring...),
-		head:   p.head,
-		pushes: p.pushes,
-		packed: append([]uint64(nil), p.packed...),
-	}
-}
-
-// Restore rewinds the register to a snapshot taken from the same PHR
-// (matching depth and width); mismatched snapshots panic.
-func (p *PHR) Restore(s State) {
-	if len(s.ring) != len(p.ring) || len(s.packed) != len(p.packed) {
-		panic("history: snapshot depth mismatch")
-	}
-	copy(p.ring, s.ring)
-	p.head = s.head
-	p.pushes = s.pushes
-	copy(p.packed, s.packed)
-}
-
 // Reset clears the register to its power-up state.
 func (p *PHR) Reset() {
 	for i := range p.ring {

@@ -124,58 +124,6 @@ func TestPHRObserveFilters(t *testing.T) {
 	}
 }
 
-func TestPHRSnapshotRestore(t *testing.T) {
-	p := New(AllBranches, 4, 2, 8)
-	for i := uint64(1); i <= 3; i++ {
-		p.Push(i * 8)
-	}
-	snap := p.Snapshot()
-	recent := append([]uint64(nil), p.Recent(nil, 4)...)
-	packed := p.Packed()
-
-	for i := uint64(10); i <= 20; i++ {
-		p.Push(i * 4)
-	}
-	p.Restore(snap)
-
-	got := p.Recent(nil, 4)
-	if len(got) != len(recent) {
-		t.Fatalf("restored length %d, want %d", len(got), len(recent))
-	}
-	for i := range recent {
-		if got[i] != recent[i] {
-			t.Errorf("restored Recent[%d] = %d, want %d", i, got[i], recent[i])
-		}
-	}
-	if p.Packed() != packed {
-		t.Errorf("restored Packed = %#x, want %#x", p.Packed(), packed)
-	}
-}
-
-func TestPHRSnapshotIsolated(t *testing.T) {
-	// Mutating the PHR after a snapshot must not corrupt the snapshot.
-	p := New(AllBranches, 2, 2, 4)
-	p.Push(8)
-	snap := p.Snapshot()
-	p.Push(12)
-	p.Push(16)
-	p.Restore(snap)
-	if got := p.Recent(nil, 2); len(got) != 1 || got[0] != 8 {
-		t.Errorf("snapshot not isolated: %v", got)
-	}
-}
-
-func TestPHRRestoreMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Restore with mismatched depth did not panic")
-		}
-	}()
-	a := New(AllBranches, 2, 2, 4)
-	b := New(AllBranches, 4, 2, 4)
-	b.Restore(a.Snapshot())
-}
-
 func TestPHRReset(t *testing.T) {
 	p := New(AllBranches, 4, 2, 8)
 	p.Push(4)

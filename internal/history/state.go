@@ -3,8 +3,6 @@ package history
 import "repro/internal/state"
 
 // Walk implements state.Snapshotter: the register as one durable section.
-// The in-memory Snapshot/Restore(State) pair above is the workload
-// generator's cheap intra-process rewind, not this binary form.
 func (p *PHR) Walk(c *state.Codec) {
 	c.Begin(state.SecPHR)
 	c.MatchU8(uint8(p.stream))

@@ -86,22 +86,16 @@ func TestPeek(t *testing.T) {
 	p.Peek(4)
 }
 
+// TestWideSnapshotRestoreAndReset requires Reset to clear every word of a
+// wide register. (Its in-memory snapshot and restore are gone; the durable
+// form is Walk, covered by the state package's round trips.)
 func TestWideSnapshotRestoreAndReset(t *testing.T) {
 	p := NewWide(AllBranches, 70, 2, 130)
 	for i := uint64(1); i <= 100; i++ {
 		p.Push(i << 2)
 	}
-	snap := p.Snapshot()
-	mid := p.FoldPacked(130, 24)
-	for i := uint64(200); i < 240; i++ {
-		p.Push(i << 2)
-	}
-	if p.FoldPacked(130, 24) == mid {
-		t.Fatal("pushes after snapshot should have changed the fold")
-	}
-	p.Restore(snap)
-	if got := p.FoldPacked(130, 24); got != mid {
-		t.Fatalf("restore did not rewind the wide register: %#x vs %#x", got, mid)
+	if p.FoldPacked(130, 24) == 0 || p.Packed() == 0 {
+		t.Fatal("pushes left the wide register empty")
 	}
 	p.Reset()
 	if p.FoldPacked(130, 24) != 0 || p.Packed() != 0 || p.Len() != 0 {

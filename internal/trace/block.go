@@ -12,9 +12,9 @@ import "unsafe"
 // paths that only act on indirect branches walk the index lanes and skip
 // the conditional-branch fabric that dominates the stream.
 //
-// Blocks are built once (by a BlockBuilder or straight off a Reader) and then
-// shared: every field, including the lanes, MUST be treated as immutable by
-// consumers. The derived lanes (MTIdx, PIBIdx, GapSum) are maintained by
+// Blocks are built once (by BlocksSized, the workload generator or straight
+// off a Reader) and then shared: every field, including the lanes, MUST be
+// treated as immutable by consumers. The derived lanes (MTIdx, PIBIdx, GapSum) are maintained by
 // the builders; mutating a data lane without rebuilding them desynchronizes
 // the block.
 type Block struct {
@@ -159,27 +159,16 @@ func NewBlock(n int) Block {
 	}
 }
 
-// BlockBuilder is the one way a trace is built into blocks: Append adds a
-// record to the last block, opening a new block of the builder's capacity
-// when that one is full, and Blocks hands back the result with the final
-// block's slack trimmed. A generator can feed Append directly, so a trace
-// reaches its columnar form without a []Record in between.
-type BlockBuilder struct {
+// blockBuilder converts a record slice to blocks: append adds a record to
+// the last block, opening a new block of the builder's capacity when that
+// one is full, and Trim sizes the result.
+type blockBuilder struct {
 	blockCap int
 	blks     []Block
 }
 
-// NewBlockBuilder returns a builder that fills blocks of blockCap records.
-// Panics if blockCap < 1.
-func NewBlockBuilder(blockCap int) *BlockBuilder {
-	if blockCap < 1 {
-		panic("trace: block capacity must be >= 1")
-	}
-	return &BlockBuilder{blockCap: blockCap}
-}
-
-// Append adds r to the trace under construction.
-func (bb *BlockBuilder) Append(r Record) {
+// append adds r to the trace under construction.
+func (bb *blockBuilder) append(r Record) {
 	n := len(bb.blks)
 	if n == 0 || bb.blks[n-1].Len() == bb.blockCap {
 		bb.blks = append(bb.blks, NewBlock(bb.blockCap))
@@ -188,13 +177,13 @@ func (bb *BlockBuilder) Append(r Record) {
 	bb.blks[n-1].append(r)
 }
 
-// Blocks returns the blocks built so far, sized to what was appended so a
-// cache charging BlocksBytes pays for emitted records only: the block
-// slice is cut to its length, and a final block more than an eighth empty
-// has its record lanes copied down to their length. The builder is left
-// empty, ready for another trace.
-func (bb *BlockBuilder) Blocks() []Block {
-	blks := bb.blks
+// Trim sizes freshly built blocks to what they hold, so a cache charging
+// BlocksBytes pays for records only: the block slice is cut to its length,
+// and a final block more than an eighth empty has its record lanes copied
+// down to their length. Every builder of a trace's blocks (the record
+// conversion here, the workload generator) ends with it, which keeps their
+// footprints equal.
+func Trim(blks []Block) []Block {
 	if cap(blks) > len(blks) {
 		blks = append(make([]Block, 0, len(blks)), blks...)
 	}
@@ -210,7 +199,6 @@ func (bb *BlockBuilder) Blocks() []Block {
 			}
 		}
 	}
-	bb.blks = nil
 	return blks
 }
 
@@ -222,11 +210,14 @@ func Blocks(recs []Record) []Block { return BlocksSized(recs, BlockCap) }
 // BlocksSized is Blocks with an explicit records-per-block capacity.
 // Panics if blockCap < 1.
 func BlocksSized(recs []Record, blockCap int) []Block {
-	bb := NewBlockBuilder(blockCap)
-	for _, r := range recs {
-		bb.Append(r)
+	if blockCap < 1 {
+		panic("trace: block capacity must be >= 1")
 	}
-	return bb.Blocks()
+	bb := blockBuilder{blockCap: blockCap}
+	for _, r := range recs {
+		bb.append(r)
+	}
+	return Trim(bb.blks)
 }
 
 // BlocksRecords flattens blocks back to a record slice — the inverse of

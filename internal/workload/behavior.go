@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"repro/internal/history"
-)
+import "fmt"
 
 // Stream selects which emitted path history a correlated site reads.
 type Stream uint8
@@ -39,33 +35,57 @@ func (s Stream) String() string {
 // guarantees the correlation they model is present in the trace a predictor
 // observes.
 type Context struct {
-	RNG     *RNG
-	PIBHist *history.PHR // targets of emitted indirect jmp/jsr
-	PBHist  *history.PHR // targets of every emitted branch
-	scratch []uint64
+	RNG *RNG
+	PIB Ring // targets of emitted indirect jmp/jsr
+	PB  Ring // targets of every emitted branch
 }
+
+// Ring is a generator-side path history: the most recent historyDepth
+// targets of one stream, held in place. The generator owns three kinds
+// (the Context's PIB and PB rings and each site's own), and a chain escape
+// restores the Context's two by plain assignment from a snapshot slot, so
+// neither a push nor a snapshot allocates. The zero Ring is empty.
+type Ring struct {
+	buf  [historyDepth]uint64
+	head uint8 // slot of the most recent target
+	n    uint8 // targets held, up to historyDepth
+}
+
+// Push shifts a target in, dropping the oldest once the ring is full.
+func (r *Ring) Push(t uint64) {
+	r.head = (r.head + 1) % historyDepth
+	r.buf[r.head] = t
+	if r.n < historyDepth {
+		r.n++
+	}
+}
+
+// Len reports how many targets the ring holds, up to historyDepth.
+func (r *Ring) Len() int { return int(r.n) }
+
+// At returns the i'th most recent target (0 = most recent). i must be in
+// [0, Len); historyDepth is a power of two, so the slot wraps by masking.
+func (r *Ring) At(i int) uint64 { return r.buf[(int(r.head)-i)&(historyDepth-1)] }
 
 // pathHash deterministically mixes the `order` most recent targets of the
 // requested stream (quantized to quantBits low bits each) with a per-site
 // salt. The quantization bounds the reachable context space so correlated
 // targets recur and are learnable.
 func (c *Context) pathHash(s *Site, stream Stream, order int, quantBits uint) uint64 {
-	var src *history.PHR
+	var src *Ring
 	switch stream {
 	case PIB:
-		src = c.PIBHist
+		src = &c.PIB
 	case PB:
-		src = c.PBHist
+		src = &c.PB
 	case Self:
-		src = s.selfHist
+		src = &s.self
 	}
-	recent := src.Recent(c.scratch[:0], order)
 	h := mix(s.salt)
 	mask := (uint64(1) << quantBits) - 1
-	for _, t := range recent {
-		h = mix(h ^ ((t >> 4) & mask))
+	for i := range min(order, src.Len()) {
+		h = mix(h ^ ((src.At(i) >> 4) & mask))
 	}
-	c.scratch = recent[:0]
 	return h
 }
 
@@ -183,12 +203,10 @@ func (c CondDriven) Next(ctx *Context, s *Site) int {
 	if ctx.RNG.Bool(c.Noise) {
 		return ctx.RNG.Intn(len(s.Targets))
 	}
-	recent := ctx.PBHist.Recent(ctx.scratch[:0], c.Order)
 	v := 0
-	for _, t := range recent {
-		v = v<<1 | int((t>>6)&1)
+	for i := range min(c.Order, ctx.PB.Len()) {
+		v = v<<1 | int((ctx.PB.At(i)>>6)&1)
 	}
-	ctx.scratch = recent[:0]
 	// XOR-fold v into the index width so every outcome bit influences the
 	// selection even when the target count is small.
 	width := 1

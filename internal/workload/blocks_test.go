@@ -24,10 +24,12 @@ func jmpOnly(events int) workload.Config {
 	}
 }
 
-// TestBlocksMatchRecordsConversion pins Config.Blocks, which generates
-// straight into blocks, to converting Records' output: the same lanes in
-// every block, the same Value-lane presence, the same columnar footprint,
-// and an identical summary.
+// TestBlocksMatchRecordsConversion tests the flatten both ways: Records
+// flattens Blocks, and converting its output back with trace.Blocks must
+// give Blocks' blocks again — the same lanes in every block, derived lanes
+// included, the same Value-lane presence, the same columnar footprint —
+// with an identical summary. Generate, which streams one reused block,
+// must emit exactly Records' output.
 func TestBlocksMatchRecordsConversion(t *testing.T) {
 	cfgs := bench.Sized(2000)
 	for seed := uint64(1); seed <= 24; seed++ {
@@ -53,6 +55,14 @@ func TestBlocksMatchRecordsConversion(t *testing.T) {
 			}
 			if g, w := trace.BlocksBytes(got), trace.BlocksBytes(want); g != w {
 				t.Errorf("BlocksBytes = %d, want %d", g, w)
+			}
+			var streamed []trace.Record
+			genSum := cfg.Generate(func(r trace.Record) { streamed = append(streamed, r) })
+			if !slices.Equal(streamed, recs) {
+				t.Errorf("Generate emitted %d records that differ from Records' %d", len(streamed), len(recs))
+			}
+			if !reflect.DeepEqual(genSum, wantSum) {
+				t.Errorf("Generate summary %+v, want %+v", genSum, wantSum)
 			}
 		})
 	}

@@ -6,9 +6,15 @@
 // order, polymorphism degree, entropy, hot-site aliasing) is reproduced
 // even though the instruction streams are synthetic. See DESIGN.md for the
 // substitution rationale.
+//
+// One generator (driver.go) serves every entry point. It writes each
+// record straight into the lanes of a trace.Block, keeps its path
+// histories in fixed 16-deep Rings and copies them into preallocated slots
+// when it snapshots, so it builds no trace.Record and allocates nothing per
+// record or snapshot. Blocks keeps the blocks it fills, Records flattens
+// them, and Generate streams their records through one reused block, so
+// cmd/tracegen and other streaming consumers run in bounded memory.
 package workload
-
-import "math"
 
 // RNG is a splitmix64 pseudo-random generator: tiny, fast, and fully
 // deterministic per seed so every experiment is reproducible bit-for-bit.
@@ -59,16 +65,4 @@ func (r *RNG) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Poissonish returns a small non-negative count with the given mean,
-// using a geometric-ish draw that is cheap and adequate for instruction
-// gap jitter (exact Poisson sampling is unnecessary for this purpose).
-func (r *RNG) Poissonish(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	// Draw uniformly in [0.5*mean, 1.5*mean] and round.
-	v := mean * (0.5 + r.Float64())
-	return int(math.Round(v))
 }

@@ -1,9 +1,9 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
-	"repro/internal/history"
 	"repro/internal/trace"
 )
 
@@ -229,12 +229,8 @@ func TestCondTakenBitConvention(t *testing.T) {
 }
 
 func TestBehaviors(t *testing.T) {
-	ctx := &Context{
-		RNG:     NewRNG(7),
-		PIBHist: history.New(history.IndirectBranches, 8, 0, 0),
-		PBHist:  history.New(history.AllBranches, 8, 0, 0),
-	}
-	site := &Site{Targets: []uint64{10, 20, 30, 40}, selfHist: history.New(history.AllBranches, 8, 0, 0)}
+	ctx := &Context{RNG: NewRNG(7)}
+	site := &Site{Targets: []uint64{10, 20, 30, 40}}
 
 	if got := (Monomorphic{}).Next(ctx, site); got != 0 {
 		t.Errorf("Monomorphic{} = %d, want 0", got)
@@ -249,8 +245,8 @@ func TestBehaviors(t *testing.T) {
 		t.Errorf("LowEntropy(p=0) moved to %d", got)
 	}
 	// Correlated is deterministic given history and zero noise.
-	ctx.PIBHist.Push(0x1230)
-	ctx.PIBHist.Push(0x4560)
+	ctx.PIB.Push(0x1230)
+	ctx.PIB.Push(0x4560)
 	c := Correlated{Stream: PIB, Order: 2}
 	a := c.Next(ctx, site)
 	if b := c.Next(ctx, site); a != b {
@@ -271,17 +267,44 @@ func TestBehaviors(t *testing.T) {
 	}
 }
 
-func TestCondDrivenReadsTakenBits(t *testing.T) {
-	ctx := &Context{
-		RNG:     NewRNG(7),
-		PIBHist: history.New(history.IndirectBranches, 8, 0, 0),
-		PBHist:  history.New(history.AllBranches, 8, 0, 0),
+// TestRing pins the generator's history ring: At reads newest first, Len
+// saturates at historyDepth with the oldest target dropped, and a copy is
+// a snapshot later pushes leave alone, which assigning back restores.
+func TestRing(t *testing.T) {
+	var r Ring
+	if r.Len() != 0 {
+		t.Fatalf("zero Ring holds %d targets", r.Len())
 	}
+	for v := uint64(1); v <= 3; v++ {
+		r.Push(v)
+	}
+	if r.Len() != 3 || r.At(0) != 3 || r.At(2) != 1 {
+		t.Fatalf("after 1,2,3: Len %d, At(0) %d, At(2) %d", r.Len(), r.At(0), r.At(2))
+	}
+	for v := uint64(4); v <= historyDepth+5; v++ {
+		r.Push(v)
+	}
+	if r.Len() != historyDepth || r.At(0) != historyDepth+5 || r.At(historyDepth-1) != 6 {
+		t.Fatalf("wrapped: Len %d, At(0) %d, oldest %d", r.Len(), r.At(0), r.At(historyDepth-1))
+	}
+	snap := r
+	r.Push(100)
+	if snap.At(0) != historyDepth+5 {
+		t.Fatalf("push changed the snapshot: At(0) = %d", snap.At(0))
+	}
+	r = snap
+	if r.At(0) != historyDepth+5 || r.At(historyDepth-1) != 6 {
+		t.Fatalf("restore: At(0) %d, oldest %d", r.At(0), r.At(historyDepth-1))
+	}
+}
+
+func TestCondDrivenReadsTakenBits(t *testing.T) {
+	ctx := &Context{RNG: NewRNG(7)}
 	site := &Site{Targets: []uint64{100, 200}}
 	cd := CondDriven{Order: 1}
-	ctx.PBHist.Push(0x13000004) // bit 6 clear: not taken
+	ctx.PB.Push(0x13000004) // bit 6 clear: not taken
 	a := cd.Next(ctx, site)
-	ctx.PBHist.Push(0x13000044) // bit 6 set: taken
+	ctx.PB.Push(0x13000044) // bit 6 set: taken
 	b := cd.Next(ctx, site)
 	if a == b {
 		t.Error("CondDriven ignored the taken bit")
@@ -311,12 +334,6 @@ func TestRNG(t *testing.T) {
 	}
 	if r.Bool(0) || !r.Bool(1) {
 		t.Error("Bool degenerate probabilities wrong")
-	}
-	if n := r.Poissonish(0); n != 0 {
-		t.Errorf("Poissonish(0) = %d", n)
-	}
-	if n := r.Poissonish(4); n < 1 || n > 8 {
-		t.Errorf("Poissonish(4) = %d, want in [2,6]-ish", n)
 	}
 }
 
@@ -348,9 +365,9 @@ func TestConfigString(t *testing.T) {
 	}
 }
 
-// TestRecordsNeverReallocates pins the ExpectedRecords contract: the
-// worst-case preallocation in Records must hold every emitted record, so
-// the append loop never grows the backing array (growth would change cap).
+// TestRecordsNeverReallocates pins Records' sizing: the flatten of Blocks
+// allocates the record slice once at the run's exact length, so no
+// capacity is left over and none was grown into.
 func TestRecordsNeverReallocates(t *testing.T) {
 	cfgs := []Config{
 		{Name: "plain", Seed: 1, Events: 3000,
@@ -365,22 +382,39 @@ func TestRecordsNeverReallocates(t *testing.T) {
 			Sites: []SiteSpec{{Label: "c", Class: trace.IndirectJsr, NumTargets: 3, Behavior: Monomorphic{Bias: 0.9}, Weight: 1}}},
 	}
 	for _, cfg := range cfgs {
-		want := cfg.ExpectedRecords()
 		recs, sum := cfg.Records()
-		if cap(recs) != want {
-			t.Errorf("%s: cap %d after generation, preallocated %d — append reallocated", cfg.Name, cap(recs), want)
-		}
-		if len(recs) > want {
-			t.Errorf("%s: emitted %d records, bound %d too small", cfg.Name, len(recs), want)
-		}
-		if uint64(len(recs)) != sum.Records {
-			t.Errorf("%s: %d records vs summary %d", cfg.Name, len(recs), sum.Records)
+		if cap(recs) != len(recs) || uint64(len(recs)) != sum.Records {
+			t.Errorf("%s: cap %d, len %d, summary %d records; want all equal", cfg.Name, cap(recs), len(recs), sum.Records)
 		}
 	}
 }
 
-func TestExpectedRecordsZeroForEmptyConfig(t *testing.T) {
-	if n := (Config{}).ExpectedRecords(); n != 0 {
-		t.Errorf("empty config expects %d records, want 0", n)
+// TestGapDrawMatchesFloat holds the integer gap draw to the float form it
+// replaced, round(4·(0.5+f)) with f = k/2^53: at every k within 65,536 of
+// each threshold, at both ends of the range, and over a million splitmix
+// draws.
+func TestGapDrawMatchesFloat(t *testing.T) {
+	float := func(k uint64) uint32 {
+		f := float64(k) / float64(1<<53)
+		return uint32(math.Round(4 * (0.5 + f)))
+	}
+	check := func(k uint64) {
+		if got, want := gapOf(k), float(k); got != want {
+			t.Fatalf("gapOf(%#x) = %d, float form %d", k, got, want)
+		}
+	}
+	const span = 1 << 16
+	for _, th := range []uint64{gap3, gap4, gap5, gap6} {
+		for k := th - span; k <= th+span; k++ {
+			check(k)
+		}
+	}
+	for k := uint64(0); k <= span; k++ {
+		check(k)
+		check(1<<53 - 1 - k)
+	}
+	r := NewRNG(1)
+	for range 1_000_000 {
+		check(r.Uint64() >> 11)
 	}
 }
