@@ -14,9 +14,9 @@ import "unsafe"
 //
 // Blocks are built once (by BlocksSized, the workload generator or straight
 // off a Reader) and then shared: every field, including the lanes, MUST be
-// treated as immutable by consumers. The derived lanes (MTIdx, PIBIdx, GapSum) are maintained by
-// the builders; mutating a data lane without rebuilding them desynchronizes
-// the block.
+// treated as immutable by consumers. The derived lanes (MTIdx, PIBIdx,
+// GapSum) are maintained by the builders; mutating a data lane without
+// rebuilding them desynchronizes the block.
 type Block struct {
 	// PC, Target, Meta, Gap and Value are the per-record field lanes; all
 	// have the same length. Meta packs Class, Taken and MT into one byte
@@ -121,7 +121,7 @@ func BlocksBytes(blks []Block) int64 {
 }
 
 // append pushes one record onto the block's lanes, maintaining the derived
-// lanes. The caller guarantees capacity (the builders preallocate), so
+// lanes. The caller guarantees capacity (BlocksSized preallocates), so
 // steady-state appends do not grow.
 func (b *Block) append(r Record) {
 	i := len(b.Meta)
@@ -159,30 +159,11 @@ func NewBlock(n int) Block {
 	}
 }
 
-// blockBuilder converts a record slice to blocks: append adds a record to
-// the last block, opening a new block of the builder's capacity when that
-// one is full, and Trim sizes the result.
-type blockBuilder struct {
-	blockCap int
-	blks     []Block
-}
-
-// append adds r to the trace under construction.
-func (bb *blockBuilder) append(r Record) {
-	n := len(bb.blks)
-	if n == 0 || bb.blks[n-1].Len() == bb.blockCap {
-		bb.blks = append(bb.blks, NewBlock(bb.blockCap))
-		n++
-	}
-	bb.blks[n-1].append(r)
-}
-
 // Trim sizes freshly built blocks to what they hold, so a cache charging
 // BlocksBytes pays for records only: the block slice is cut to its length,
 // and a final block more than an eighth empty has its record lanes copied
-// down to their length. Every builder of a trace's blocks (the record
-// conversion here, the workload generator) ends with it, which keeps their
-// footprints equal.
+// down to their length. Both builders of a trace's blocks, BlocksSized and
+// the workload generator, end with it, which keeps their footprints equal.
 func Trim(blks []Block) []Block {
 	if cap(blks) > len(blks) {
 		blks = append(make([]Block, 0, len(blks)), blks...)
@@ -213,11 +194,17 @@ func BlocksSized(recs []Record, blockCap int) []Block {
 	if blockCap < 1 {
 		panic("trace: block capacity must be >= 1")
 	}
-	bb := blockBuilder{blockCap: blockCap}
-	for _, r := range recs {
-		bb.append(r)
+	var blks []Block
+	for len(recs) > 0 {
+		n := min(len(recs), blockCap)
+		b := NewBlock(blockCap)
+		for _, r := range recs[:n] {
+			b.append(r)
+		}
+		blks = append(blks, b)
+		recs = recs[n:]
 	}
-	return Trim(bb.blks)
+	return Trim(blks)
 }
 
 // BlocksRecords flattens blocks back to a record slice — the inverse of
