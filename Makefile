@@ -59,7 +59,7 @@ gates-update:
 # cache (concurrent generation and eviction included) pass the race
 # detector, and a short full-grid run at -j 4 completes under -race.
 grid-smoke:
-	$(GO) test -run 'TestParallelDeterminism|TestBlockEngineMatchesRecordEngine' ./cmd/experiments
+	$(GO) test -run 'TestParallelDeterminism|TestBlockEngineMatchesRecordEngine|TestOnePassPerExperiment' ./cmd/experiments
 	$(GO) test -run 'TestTraceGolden|TestGapDrawMatchesFloat|TestBlocksMatchRecordsConversion' ./internal/workload
 	$(GO) test -run 'TestBlockEngineZeroAllocSteadyState|TestGenerateBlocksAllocBudget' ./internal/bench
 	$(GO) test -race ./internal/tracecache ./internal/sched

@@ -7,49 +7,40 @@ import (
 	"repro/internal/history"
 	"repro/internal/predictor"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/twolevel"
 )
 
-// meanOver runs a predictor-set constructor over the suite (cells sharded
-// across the pool, traces recalled from the cache) and returns the mean
-// misprediction ratio per predictor name, preserving order.
-func meanOver(e *env, build func() []predictor.IndirectPredictor) ([]string, map[string]float64) {
-	perPred := map[string][]stats.Counters{}
-	var names []string
-	for _, p := range build() {
-		names = append(names, p.Name())
-	}
-	for _, res := range e.simulate(build) {
-		for _, c := range res.Counters {
-			perPred[c.Predictor] = append(perPred[c.Predictor], c)
+// ppmSet returns a builder of one PPM per config, in order.
+func ppmSet(cfgs []core.Config) func() []predictor.IndirectPredictor {
+	return func() []predictor.IndirectPredictor {
+		preds := make([]predictor.IndirectPredictor, len(cfgs))
+		for i, cfg := range cfgs {
+			preds[i] = core.New(cfg)
 		}
+		return preds
 	}
-	out := map[string]float64{}
-	for name, runs := range perPred {
-		out[name] = stats.MeanRatio(runs)
-	}
-	return names, out
 }
 
 // printOrderSweep regenerates the table-size question the paper leaves
 // open: PPM accuracy as the order m (and with it the 2^1+...+2^m entry
 // budget) varies.
 func printOrderSweep(e *env) {
+	orders := []int{2, 4, 6, 8, 10, 12}
+	cfgs := make([]core.Config, len(orders))
+	for i, order := range orders {
+		cfgs[i] = core.DefaultConfig(core.Hybrid)
+		cfgs[i].Order = order
+		cfgs[i].Name = fmt.Sprintf("PPM-hyb-o%d", order)
+	}
+	m := means(e.simulate(ppmSet(cfgs)))
 	t := report.NewTable("Extension: PPM order / table-size sweep (mean mispred %, PPM-hyb)",
 		"order", "entries", "mean mispred %")
-	for _, order := range []int{2, 4, 6, 8, 10, 12} {
-		cfg := core.DefaultConfig(core.Hybrid)
-		cfg.Order = order
-		cfg.Name = fmt.Sprintf("PPM-hyb-o%d", order)
-		_, means := meanOver(e, func() []predictor.IndirectPredictor {
-			return []predictor.IndirectPredictor{core.New(cfg)}
-		})
+	for i, order := range orders {
 		entries := 1
 		for j := 1; j <= order; j++ {
 			entries += 1 << j
 		}
-		t.AddRowf(order, entries, 100*means[cfg.Name])
+		t.AddRowf(order, entries, 100*m[cfgs[i].Name])
 	}
 	t.Render(e.out)
 	fmt.Fprintln(e.out)
@@ -58,27 +49,29 @@ func printOrderSweep(e *env) {
 // printPathLengthSweep addresses the sensitivity the paper explicitly did
 // not: how TC and GAp accuracy depends on recorded path length.
 func printPathLengthSweep(e *env) {
-	t := report.NewTable("Extension: TC/GAp path-length sensitivity (mean mispred %)",
-		"path length", "TC-PIB", "GAp")
-	for _, plen := range []int{1, 2, 3, 5, 8, 11} {
-		tcName := fmt.Sprintf("TC-p%d", plen)
-		gapName := fmt.Sprintf("GAp-p%d", plen)
-		_, means := meanOver(e, func() []predictor.IndirectPredictor {
-			return []predictor.IndirectPredictor{
+	plens := []int{1, 2, 3, 5, 8, 11}
+	m := means(e.simulate(func() []predictor.IndirectPredictor {
+		var preds []predictor.IndirectPredictor
+		for _, plen := range plens {
+			preds = append(preds,
 				twolevel.NewTargetCache(twolevel.TargetCacheConfig{
-					Name: tcName, Entries: 2048,
+					Name: fmt.Sprintf("TC-p%d", plen), Entries: 2048,
 					HistoryBits: uint(2 * plen), BitsPerTarget: 2,
 					HistoryStream: history.IndirectBranches,
 				}),
 				twolevel.NewGAp(twolevel.GApConfig{
-					Name: gapName, Entries: 2048, PHTs: 2, Assoc: 1,
+					Name: fmt.Sprintf("GAp-p%d", plen), Entries: 2048, PHTs: 2, Assoc: 1,
 					PathLength: plen, BitsPerTarget: 2,
 					HistoryStream: history.IndirectBranches,
 					Indexing:      twolevel.GShare,
-				}),
-			}
-		})
-		t.AddRowf(plen, 100*means[tcName], 100*means[gapName])
+				}))
+		}
+		return preds
+	}))
+	t := report.NewTable("Extension: TC/GAp path-length sensitivity (mean mispred %)",
+		"path length", "TC-PIB", "GAp")
+	for _, plen := range plens {
+		t.AddRowf(plen, 100*m[fmt.Sprintf("TC-p%d", plen)], 100*m[fmt.Sprintf("GAp-p%d", plen)])
 	}
 	t.Render(e.out)
 	fmt.Fprintln(e.out)
@@ -86,20 +79,23 @@ func printPathLengthSweep(e *env) {
 
 // printBIUSweep bounds the BIU, the structure the paper assumed infinite.
 func printBIUSweep(e *env) {
+	limits := []int{16, 64, 256, 1024, 0}
+	labels := make([]string, len(limits))
+	cfgs := make([]core.Config, len(limits))
+	for i, limit := range limits {
+		labels[i] = fmt.Sprint(limit)
+		if limit == 0 {
+			labels[i] = "unbounded"
+		}
+		cfgs[i] = core.DefaultConfig(core.Hybrid)
+		cfgs[i].BIULimit = limit
+		cfgs[i].Name = "PPM-hyb-biu" + labels[i]
+	}
+	m := means(e.simulate(ppmSet(cfgs)))
 	t := report.NewTable("Extension: finite-BIU sensitivity (PPM-hyb mean mispred %)",
 		"BIU entries", "mean mispred %")
-	for _, limit := range []int{16, 64, 256, 1024, 0} {
-		cfg := core.DefaultConfig(core.Hybrid)
-		cfg.BIULimit = limit
-		label := fmt.Sprint(limit)
-		if limit == 0 {
-			label = "unbounded"
-		}
-		cfg.Name = "PPM-hyb-biu" + label
-		_, means := meanOver(e, func() []predictor.IndirectPredictor {
-			return []predictor.IndirectPredictor{core.New(cfg)}
-		})
-		t.AddRowf(label, 100*means[cfg.Name])
+	for i, label := range labels {
+		t.AddRowf(label, 100*m[cfgs[i].Name])
 	}
 	t.Render(e.out)
 	fmt.Fprintln(e.out)
@@ -127,12 +123,5 @@ func printVariants(e *env) {
 			core.PaperFiltered(),
 		}
 	}
-	names, means := meanOver(e, build)
-	t := report.NewTable("Extension: PPM design variants (Section 6 future work)",
-		"variant", "mean mispred %")
-	for _, n := range names {
-		t.AddRowf(n, 100*means[n])
-	}
-	t.Render(e.out)
-	fmt.Fprintln(e.out)
+	printMeans(e, "Extension: PPM design variants (Section 6 future work)", "variant", build)
 }

@@ -26,14 +26,7 @@ func printIPC(e *env) {
 		fmt.Sprintf("Motivation: IPC impact of indirect misprediction (%d-wide, %d-cycle refill)",
 			cfg.Width, cfg.MispredictPenalty),
 		append([]string{"run", "perfect-IPC"}, append(names, "PPM speedup vs BTB")...)...)
-	results := e.simulate(func() []predictor.IndirectPredictor {
-		preds := make([]predictor.IndirectPredictor, len(names))
-		for i, n := range names {
-			preds[i], _ = bench.NewPredictor(n)
-		}
-		return preds
-	})
-	for _, res := range results {
+	for _, res := range e.simulate(lineup(names...)) {
 		sum := res.Summary
 		row := []string{res.Config.String(), fmt.Sprintf("%.2f", cfg.Estimate(sum.Instructions, 0).IPC)}
 		var btbRes, ppmRes pipeline.Result
@@ -78,36 +71,30 @@ func printTagged(e *env) {
 			tc, taggedTC, gap, taggedGAp, ppm, core.New(taggedPPMCfg),
 		}
 	}
-	names, means := meanOver(e, build)
-	t := report.NewTable("Extension: tagless vs tagged predictor versions (mean mispred %)",
-		"predictor", "mean mispred %")
-	for _, n := range names {
-		t.AddRowf(n, 100*means[n])
-	}
-	t.Render(e.out)
-	fmt.Fprintln(e.out)
+	printMeans(e, "Extension: tagless vs tagged predictor versions (mean mispred %)", "predictor", build)
 }
 
 // printCBT evaluates the Case Block Table of Related Work at several
 // value-availability levels against the PPM, quantifying the limitation
 // the paper cites (the switch value is often unknown at fetch).
 func printCBT(e *env) {
+	avails := []float64{1.0, 0.75, 0.5, 0.0}
+	m := means(e.simulate(func() []predictor.IndirectPredictor {
+		var preds []predictor.IndirectPredictor
+		for _, avail := range avails {
+			preds = append(preds, cbt.New(cbt.Config{
+				Entries: 2048, Availability: avail, Seed: 0xCB7,
+			}))
+		}
+		return append(preds, core.PaperHyb())
+	}))
 	t := report.NewTable("Related work: Case Block Table vs value availability (mean mispred %)",
 		"predictor", "mean mispred %")
-	for _, avail := range []float64{1.0, 0.75, 0.5, 0.0} {
+	for _, avail := range avails {
 		name := fmt.Sprintf("CBT(p=%.2f)", avail)
-		_, means := meanOver(e, func() []predictor.IndirectPredictor {
-			return []predictor.IndirectPredictor{cbt.New(cbt.Config{
-				Entries: 2048, Availability: avail, Seed: 0xCB7,
-			})}
-		})
-		t.AddRowf(name, 100*means[name])
+		t.AddRowf(name, 100*m[name])
 	}
-	_, means := meanOver(e, func() []predictor.IndirectPredictor {
-		p, _ := bench.NewPredictor("PPM-hyb")
-		return []predictor.IndirectPredictor{p}
-	})
-	t.AddRowf("PPM-hyb (reference)", 100*means["PPM-hyb"])
+	t.AddRowf("PPM-hyb (reference)", 100*m["PPM-hyb"])
 	t.Render(e.out)
 	fmt.Fprintln(e.out, "(the CBT only helps MT jmp switches; MT jsr calls have no switch value)")
 	fmt.Fprintln(e.out)
@@ -140,12 +127,5 @@ func printFilterPolicy(e *env) {
 		}
 		return []predictor.IndirectPredictor{leaky, cascade.New(strictCfg)}
 	}
-	names, means := meanOver(e, build)
-	t := report.NewTable("Extension: Cascade filter policy (mean mispred %)",
-		"policy", "mean mispred %")
-	for _, n := range names {
-		t.AddRowf(n, 100*means[n])
-	}
-	t.Render(e.out)
-	fmt.Fprintln(e.out)
+	printMeans(e, "Extension: Cascade filter policy (mean mispred %)", "policy", build)
 }

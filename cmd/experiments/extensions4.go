@@ -48,14 +48,14 @@ func printMulti(e *env) {
 		m4n.SetName("PPM-multi-k4-o8")
 		return []predictor.IndirectPredictor{base, m2, m4, m4n}
 	}
-	names, means := meanOver(e, build)
+	m := means(e.simulate(build))
 	t := report.NewTable("Section 4 alternative: frequency-counted multi-target Markov states",
 		"variant", "slots", "mean mispred %")
 	slots := map[string]int{
 		"PPM-PIB": 2047, "PPM-multi-k2": 2 * 2046, "PPM-multi-k4": 4 * 2046, "PPM-multi-k4-o8": 4 * 510,
 	}
-	for _, n := range names {
-		t.AddRowf(n, slots[n], 100*means[n])
+	for _, p := range build() {
+		t.AddRowf(p.Name(), slots[p.Name()], 100*m[p.Name()])
 	}
 	t.Render(e.out)
 	fmt.Fprintln(e.out, "(the paper stores only the most recent target per state; the k-slot")

@@ -20,11 +20,13 @@
 // trace is generated at most once per process through the shared trace
 // cache (-cachemb bounds its memory). Output is byte-identical at every -j.
 //
-// Cells replay through the batched block engine: traces are pre-decoded
-// once into columnar blocks (cached alongside the records) and each
-// predictor consumes a whole block per virtual call, with index lanes
-// letting most predictors skip straight to the records they observe. The
-// output is pinned byte for byte to the record-at-a-time engine's by
+// Each experiment builds its whole predictor set once and simulates it in
+// one pass over the suite; predictors share no state, so a sweep's points
+// can ride in one set. Cells replay through the batched block engine: the
+// cache holds each trace as columnar blocks only, and each predictor
+// consumes a whole block per virtual call, with index lanes letting most
+// predictors skip straight to the records they observe. The output is
+// pinned byte for byte to the record-at-a-time engine's by
 // testdata/all-ext-2000.golden and the ppmcheck blocks-vs-records suite.
 package main
 
@@ -198,31 +200,54 @@ func printFigure1(e *env) {
 	fmt.Fprintf(e.out, "  PPM prediction after sequence: %s (paper: 0)\n\n", bit)
 }
 
-func printMatrix(e *env, title string, preds func() []predictor.IndirectPredictor) {
-	names := func() []string {
-		var n []string
-		for _, p := range preds() {
-			n = append(n, p.Name())
-		}
-		return n
-	}()
-	t := report.NewTable(title, append([]string{"run"}, names...)...)
-	perPred := make(map[string][]stats.Counters)
-	for _, res := range e.simulate(preds) {
-		row := []string{res.Config.String()}
+// printMatrix renders a pass as the misprediction matrix, one row per run.
+func printMatrix(e *env, title string, results []sched.Result) {
+	runs := make([]string, len(results))
+	rows := make([][]stats.Counters, len(results))
+	for i, res := range results {
+		runs[i], rows[i] = res.Config.String(), res.Counters
+	}
+	report.Matrix(e.out, title, runs, rows)
+}
+
+// means reduces a pass to each predictor's mean misprediction ratio over
+// the runs, keyed by predictor name.
+func means(results []sched.Result) map[string]float64 {
+	perPred := map[string][]stats.Counters{}
+	for _, res := range results {
 		for _, c := range res.Counters {
-			row = append(row, report.Pct(c.MispredictionRatio()))
 			perPred[c.Predictor] = append(perPred[c.Predictor], c)
 		}
-		t.AddRow(row...)
 	}
-	avg := []string{"MEAN"}
-	for _, n := range names {
-		avg = append(avg, report.Pct(stats.MeanRatio(perPred[n])))
+	out := make(map[string]float64, len(perPred))
+	for name, runs := range perPred {
+		out[name] = stats.MeanRatio(runs)
 	}
-	t.AddRow(avg...)
+	return out
+}
+
+// printMeans simulates build's set in one pass and renders one row per
+// predictor, in set order: its name under column and its mean
+// misprediction ratio.
+func printMeans(e *env, title, column string, build func() []predictor.IndirectPredictor) {
+	m := means(e.simulate(build))
+	t := report.NewTable(title, column, "mean mispred %")
+	for _, p := range build() {
+		t.AddRowf(p.Name(), 100*m[p.Name()])
+	}
 	t.Render(e.out)
 	fmt.Fprintln(e.out)
+}
+
+// lineup returns a builder of the named bench predictors, in order.
+func lineup(names ...string) func() []predictor.IndirectPredictor {
+	return func() []predictor.IndirectPredictor {
+		preds, err := bench.Predictors(names)
+		if err != nil {
+			panic("experiments: " + err.Error())
+		}
+		return preds
+	}
 }
 
 func printComponents(e *env) {

@@ -86,6 +86,27 @@ func TestDisabledCacheMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestOnePassPerExperiment pins each registry entry to one pass over the
+// suite: run alone on a fresh cache, an entry that reads traces reads each
+// run exactly once, however many predictors or sweep points it evaluates,
+// and fig1 and budget read none.
+func TestOnePassPerExperiment(t *testing.T) {
+	const events = 2000
+	suiteLen := uint64(len(bench.Sized(events)))
+	for _, ex := range experiments {
+		want := suiteLen
+		if ex.name == "fig1" || ex.name == "budget" {
+			want = 0
+		}
+		cache := tracecache.New(0)
+		renderExperiments(io.Discard, []string{ex.name}, 2, cache, events)
+		if st := cache.Stats(); st.Hits+st.Misses != want {
+			t.Errorf("%s: %d trace reads (hits %d + misses %d), want %d",
+				ex.name, st.Hits+st.Misses, st.Hits, st.Misses, want)
+		}
+	}
+}
+
 // TestBlockEngineMatchesRecordEngine pins every registry entry to the bytes
 // of the record-at-a-time engine: testdata/all-ext-2000.golden is
 // `experiments -all -ext -events 2000 -j 1` as rendered by that engine,

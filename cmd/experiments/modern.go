@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/bench"
 	"repro/internal/ittage"
 	"repro/internal/predictor"
 	"repro/internal/report"
@@ -19,29 +18,19 @@ import (
 // geometry, tagged cascading and allocation policy, not capacity. The bits
 // column makes the remaining (modest) storage differences explicit.
 func printModern(e *env) {
-	build := func() []predictor.IndirectPredictor {
-		mk := func(name string) predictor.IndirectPredictor {
-			p, ok := bench.NewPredictor(name)
-			if !ok {
-				panic("experiments: unregistered predictor " + name)
-			}
-			return p
-		}
-		return []predictor.IndirectPredictor{
-			mk("Cascade"), mk("PPM-hyb"), mk("Cascade-u"), mk("ITTAGE"),
-		}
-	}
-	printMatrix(e, "1998 vs modern: misprediction ratios (%), matched ~2K-entry budget", build)
+	results := e.simulate(lineup("Cascade", "PPM-hyb", "Cascade-u", "ITTAGE"))
+	printMatrix(e, "1998 vs modern: misprediction ratios (%), matched ~2K-entry budget", results)
 
 	t := report.NewTable("1998 vs modern: budget normalization",
 		"predictor", "entries", "bits", "KiB", "mean mispred %")
-	names, means := meanOver(e, build)
-	for _, n := range names {
-		p, _ := bench.NewPredictor(n)
-		s := p.(predictor.Sized)
-		c := p.(predictor.Costed)
-		t.AddRowf(n, s.Entries(), c.Bits(),
-			fmt.Sprintf("%.1f", float64(c.Bits())/8192), report.Pct(means[n]))
+	m := means(results)
+	if len(results) > 0 {
+		for _, p := range results[0].Preds {
+			s := p.(predictor.Sized)
+			c := p.(predictor.Costed)
+			t.AddRowf(p.Name(), s.Entries(), c.Bits(),
+				fmt.Sprintf("%.1f", float64(c.Bits())/8192), report.Pct(m[p.Name()]))
+		}
 	}
 	t.Render(e.out)
 	fmt.Fprintln(e.out)
@@ -52,12 +41,8 @@ func printModern(e *env) {
 	it := ittage.Paper()
 	fmt.Fprintf(e.out, "ITTAGE geometric windows (items): %v (packed history %d bits)\n",
 		it.HistLens(), it.HistoryBits())
-	results := e.simulate(func() []predictor.IndirectPredictor {
-		return []predictor.IndirectPredictor{ittage.Paper()}
-	})
 	for _, res := range results {
-		p := res.Preds[0].(*ittage.ITTAGE)
-		uaona, resets := p.UStats()
+		uaona, resets := res.Preds[3].(*ittage.ITTAGE).UStats()
 		fmt.Fprintf(e.out, "  %-12s use-alt counter: %2d  graceful u-resets: %d\n",
 			res.Config.String(), uaona, resets)
 	}

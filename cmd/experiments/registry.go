@@ -10,9 +10,10 @@ import (
 // this command can produce, so a new analysis is added by appending a row —
 // not by threading another flag through main — and the static analyzers see
 // one dispatch site. Runners receive the execution env (writer, suite,
-// trace cache, worker pool) and must render only after their parallel cells
-// have completed, in canonical suite order, so output is identical at every
-// -j.
+// trace cache, worker pool), make at most one pass over the suite
+// (TestOnePassPerExperiment), and must render only after their parallel
+// cells have completed, in canonical suite order, so output is identical at
+// every -j.
 type experiment struct {
 	name  string
 	group string // "paper" (-all) or "extension" (-ext)
@@ -27,11 +28,11 @@ var experiments = []experiment{
 	{"fig1", "paper", "Figure 1 worked example (3rd-order conditional PPM)", printFigure1},
 	{"fig6", "paper", "Figure 6: 7 predictors x all runs, 2K entries",
 		func(e *env) {
-			printMatrix(e, "Figure 6: misprediction ratios (%), 2K-entry predictors", bench.Figure6Predictors)
+			printMatrix(e, "Figure 6: misprediction ratios (%), 2K-entry predictors", e.simulate(bench.Figure6Predictors))
 		}},
 	{"fig7", "paper", "Figure 7: PPM variants",
 		func(e *env) {
-			printMatrix(e, "Figure 7: misprediction ratios (%), PPM variants", bench.Figure7Predictors)
+			printMatrix(e, "Figure 7: misprediction ratios (%), PPM variants", e.simulate(bench.Figure7Predictors))
 		}},
 	{"components", "paper", "Section 5: Markov component access/miss distribution", printComponents},
 	{"oracle", "paper", "Section 5: oracle PIB-history analysis", printOracle},

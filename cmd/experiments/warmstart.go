@@ -39,32 +39,46 @@ func printWarmstart(e *env) {
 func newHybEngine() *sim.Engine { return sim.New(core.PaperHyb()) }
 
 // warmstartRun picks the trace the cross-process modes operate on: the first
-// run of the (possibly -run filtered) suite.
-func (e *env) warmstartRun() (name string, half int, recs []trace.Record) {
+// run of the (possibly -run filtered) suite, its cached blocks, its cut
+// point and its record count.
+func (e *env) warmstartRun() (name string, blks []trace.Block, half, n int) {
 	if len(e.suite) == 0 {
 		fmt.Fprintln(os.Stderr, "experiments: -run filter matched no runs")
 		os.Exit(2)
 	}
 	cfg := e.suite[0]
-	r, _ := e.cache.Get(cfg)
-	return cfg.String(), len(r) / 2, r
+	blks, sum := e.cache.GetBlocks(cfg)
+	return cfg.String(), blks, int(sum.Records) / 2, int(sum.Records)
+}
+
+// replay feeds records [from, to) of blks to eng, one Process call per
+// record: the record engine that state.Save and state.Load are held to.
+func replay(eng *sim.Engine, blks []trace.Block, from, to int) {
+	base := 0
+	for bi := range blks {
+		b := &blks[bi]
+		for k := max(from-base, 0); k < b.Len() && base+k < to; k++ {
+			eng.Process(b.Record(k))
+		}
+		base += b.Len()
+	}
 }
 
 func saveWarmstart(e *env) {
-	name, half, recs := e.warmstartRun()
+	name, blks, half, n := e.warmstartRun()
 	eng := newHybEngine()
-	eng.ProcessAll(recs[:half])
+	replay(eng, blks, 0, half)
 	data := state.SaveBytes(eng)
 	if err := os.WriteFile(e.savestate, data, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(e.out, "Warm start: saved PPM-hyb state after %d/%d records of %s -> %s (%d bytes)\n\n",
-		half, len(recs), name, e.savestate, len(data))
+		half, n, name, e.savestate, len(data))
 }
 
 func runWarmstart(e *env) {
-	name, half, recs := e.warmstartRun()
+	name, blks, half, n := e.warmstartRun()
 	data, err := os.ReadFile(e.warmstart)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -75,13 +89,13 @@ func runWarmstart(e *env) {
 		fmt.Fprintln(os.Stderr, "experiments: restore:", err)
 		os.Exit(1)
 	}
-	eng.ProcessAll(recs[half:])
+	replay(eng, blks, half, n)
 
 	full := newHybEngine()
-	full.ProcessAll(recs)
+	replay(full, blks, 0, n)
 	match := bytes.Equal(state.SaveBytes(eng), state.SaveBytes(full))
 	fmt.Fprintf(e.out, "Warm start: %s restored from %s at record %d/%d\n",
-		name, e.warmstart, half, len(recs))
+		name, e.warmstart, half, n)
 	fmt.Fprintf(e.out, "  restored continuation: %s mispredict, uncut run: %s\n",
 		report.Pct(eng.Counters()[0].MispredictionRatio()),
 		report.Pct(full.Counters()[0].MispredictionRatio()))
@@ -102,24 +116,25 @@ func printWarmstartDemo(e *env) {
 	}
 	rows := make([]row, len(e.suite))
 	e.pool.Map(len(e.suite), func(i int) {
-		recs, _ := e.cache.Get(e.suite[i])
-		half := len(recs) / 2
+		blks, sum := e.cache.GetBlocks(e.suite[i])
+		n := int(sum.Records)
+		half := n / 2
 
 		full := newHybEngine()
-		full.ProcessAll(recs)
+		replay(full, blks, 0, n)
 
 		pre := newHybEngine()
-		pre.ProcessAll(recs[:half])
+		replay(pre, blks, 0, half)
 		snap := state.SaveBytes(pre)
 		cont := newHybEngine()
 		match := state.LoadBytes(cont, snap) == nil
 		if match {
-			cont.ProcessAll(recs[half:])
+			replay(cont, blks, half, n)
 			match = bytes.Equal(state.SaveBytes(cont), state.SaveBytes(full))
 		}
 		rows[i] = row{
 			name: e.suite[i].String(), ratio: full.Counters()[0].MispredictionRatio(),
-			snapBytes: len(snap), cut: half, n: len(recs), match: match,
+			snapBytes: len(snap), cut: half, n: n, match: match,
 		}
 	})
 

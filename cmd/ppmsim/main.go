@@ -142,18 +142,16 @@ func run(args []string, out io.Writer) error {
 }
 
 func buildPredictors(spec string) []predictor.IndirectPredictor {
-	names := bench.PredictorNames()[:7] // the Figure 6 set
+	names, _ := bench.Lineup("fig6")
 	if spec != "" {
 		names = strings.Split(spec, ",")
-	}
-	var preds []predictor.IndirectPredictor
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		p, ok := bench.NewPredictor(n)
-		if !ok {
-			fatal(fmt.Errorf("unknown predictor %q (try -list)", n))
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
 		}
-		preds = append(preds, p)
+	}
+	preds, err := bench.Predictors(names)
+	if err != nil {
+		fatal(fmt.Errorf("%w (try -list)", err))
 	}
 	return preds
 }

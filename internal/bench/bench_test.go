@@ -86,6 +86,33 @@ func TestFigurePredictorSets(t *testing.T) {
 	if len(f7) != 3 {
 		t.Fatalf("Figure 7 set has %d predictors, want 3", len(f7))
 	}
+	// The suites jobs and checks name resolve to the same line-ups, and
+	// every line-up builds each of its predictors under its own label.
+	for suite, build := range map[string]func() []predictor.IndirectPredictor{
+		"": Figure6Predictors, "fig6": Figure6Predictors, "fig7": Figure7Predictors,
+	} {
+		names, ok := Lineup(suite)
+		preds := build()
+		if !ok || len(names) != len(preds) {
+			t.Fatalf("Lineup(%q) = %v, %v; want the %d labels of its set", suite, names, ok, len(preds))
+		}
+		for i, p := range preds {
+			if p == nil || p.Name() != names[i] {
+				t.Errorf("suite %q position %d = %v, want %s", suite, i, p, names[i])
+			}
+		}
+	}
+	for i, p := range ModernPredictors() {
+		if want := []string{"ITTAGE", "Cascade-u"}[i]; p == nil || p.Name() != want {
+			t.Errorf("modern position %d = %v, want %s", i, p, want)
+		}
+	}
+	if _, ok := Lineup("fig99"); ok {
+		t.Error("Lineup accepted an unknown suite")
+	}
+	if _, err := Predictors([]string{"BTB", "nope"}); err == nil || err.Error() != `unknown predictor "nope"` {
+		t.Errorf("Predictors with an unknown name: err = %v", err)
+	}
 }
 
 func TestSuiteDeterministic(t *testing.T) {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"repro/internal/btb"
 	"repro/internal/cascade"
 	"repro/internal/core"
@@ -9,73 +11,96 @@ import (
 	"repro/internal/twolevel"
 )
 
-// Figure6Predictors returns fresh instances of the seven predictors of
-// Figure 6, each holding the paper's 2K-entry hardware budget, in the
-// figure's order.
-func Figure6Predictors() []predictor.IndirectPredictor {
-	return []predictor.IndirectPredictor{
-		btb.New(2048),
-		btb.New2b(2048),
-		twolevel.PaperGAp(),
-		twolevel.PaperTCPIB(),
-		twolevel.PaperDualPath(),
-		cascade.Paper(),
-		core.PaperHyb(),
-	}
+// families lists every predictor NewPredictor builds, in display order:
+// the 1998 designs of Figures 6 and 7 first, then the modern family. Each
+// holds the paper's 2K-entry hardware budget.
+var families = []struct {
+	name string
+	new  func() predictor.IndirectPredictor
+}{
+	{"BTB", func() predictor.IndirectPredictor { return btb.New(2048) }},
+	{"BTB2b", func() predictor.IndirectPredictor { return btb.New2b(2048) }},
+	{"GAp", func() predictor.IndirectPredictor { return twolevel.PaperGAp() }},
+	{"TC-PIB", func() predictor.IndirectPredictor { return twolevel.PaperTCPIB() }},
+	{"Dpath", func() predictor.IndirectPredictor { return twolevel.PaperDualPath() }},
+	{"Cascade", func() predictor.IndirectPredictor { return cascade.Paper() }},
+	{"PPM-hyb", func() predictor.IndirectPredictor { return core.PaperHyb() }},
+	{"PPM-PIB", func() predictor.IndirectPredictor { return core.PaperPIB() }},
+	{"PPM-hyb-biased", func() predictor.IndirectPredictor { return core.PaperHybBiased() }},
+	{"ITTAGE", func() predictor.IndirectPredictor { return ittage.Paper() }},
+	{"Cascade-u", func() predictor.IndirectPredictor { return cascade.PaperU() }},
 }
 
-// Figure7Predictors returns fresh instances of the three PPM variants of
-// Figure 7.
-func Figure7Predictors() []predictor.IndirectPredictor {
-	return []predictor.IndirectPredictor{
-		core.PaperHyb(),
-		core.PaperPIB(),
-		core.PaperHybBiased(),
-	}
-}
+// The named line-ups, as NewPredictor labels in column order.
+var (
+	figure6 = []string{"BTB", "BTB2b", "GAp", "TC-PIB", "Dpath", "Cascade", "PPM-hyb"}
+	figure7 = []string{"PPM-hyb", "PPM-PIB", "PPM-hyb-biased"}
+	modern  = []string{"ITTAGE", "Cascade-u"}
+)
 
-// NewPredictor constructs a paper-configured predictor by its Figure 6/7
-// label. It returns false for unknown names.
-func NewPredictor(name string) (predictor.IndirectPredictor, bool) {
-	switch name {
-	case "BTB":
-		return btb.New(2048), true
-	case "BTB2b":
-		return btb.New2b(2048), true
-	case "GAp":
-		return twolevel.PaperGAp(), true
-	case "TC-PIB":
-		return twolevel.PaperTCPIB(), true
-	case "Dpath":
-		return twolevel.PaperDualPath(), true
-	case "Cascade":
-		return cascade.Paper(), true
-	case "PPM-hyb":
-		return core.PaperHyb(), true
-	case "PPM-PIB":
-		return core.PaperPIB(), true
-	case "PPM-hyb-biased":
-		return core.PaperHybBiased(), true
-	case "ITTAGE":
-		return ittage.Paper(), true
-	case "Cascade-u":
-		return cascade.PaperU(), true
+// Lineup returns the labels of the line-up a job or check names by suite:
+// "fig6" (also the default, "") or "fig7". It returns false for any other
+// name. The slice is shared: callers must not modify it.
+func Lineup(suite string) ([]string, bool) {
+	switch suite {
+	case "", "fig6":
+		return figure6, true
+	case "fig7":
+		return figure7, true
 	}
 	return nil, false
 }
 
-// PredictorNames lists every label NewPredictor accepts, in display order:
-// the 1998 designs of Figures 6 and 7 first, then the modern family.
-func PredictorNames() []string {
-	return []string{"BTB", "BTB2b", "GAp", "TC-PIB", "Dpath", "Cascade", "PPM-hyb", "PPM-PIB", "PPM-hyb-biased", "ITTAGE", "Cascade-u"}
+// Predictors returns fresh instances of the named predictors, in order. It
+// fails on the first name NewPredictor does not know.
+func Predictors(names []string) ([]predictor.IndirectPredictor, error) {
+	preds := newSet(names)
+	for i, p := range preds {
+		if p == nil {
+			return nil, fmt.Errorf("unknown predictor %q", names[i])
+		}
+	}
+	return preds, nil
 }
+
+// newSet builds the named predictors, leaving nil where a name is unknown.
+func newSet(names []string) []predictor.IndirectPredictor {
+	preds := make([]predictor.IndirectPredictor, len(names))
+	for i, n := range names {
+		preds[i], _ = NewPredictor(n)
+	}
+	return preds
+}
+
+// Figure6Predictors returns fresh instances of the seven predictors of
+// Figure 6, in the figure's order.
+func Figure6Predictors() []predictor.IndirectPredictor { return newSet(figure6) }
+
+// Figure7Predictors returns fresh instances of the three PPM variants of
+// Figure 7.
+func Figure7Predictors() []predictor.IndirectPredictor { return newSet(figure7) }
 
 // ModernPredictors returns fresh instances of the post-1998 family — the
 // predictors the "1998 vs modern" matched-budget comparison pits against
-// Figure 6, each still holding the paper's 2K-entry budget.
-func ModernPredictors() []predictor.IndirectPredictor {
-	return []predictor.IndirectPredictor{
-		ittage.Paper(),
-		cascade.PaperU(),
+// Figure 6.
+func ModernPredictors() []predictor.IndirectPredictor { return newSet(modern) }
+
+// NewPredictor constructs a paper-configured predictor by its Figure 6/7
+// label. It returns false for unknown names.
+func NewPredictor(name string) (predictor.IndirectPredictor, bool) {
+	for _, f := range families {
+		if f.name == name {
+			return f.new(), true
+		}
 	}
+	return nil, false
+}
+
+// PredictorNames lists every label NewPredictor accepts, in display order.
+func PredictorNames() []string {
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
+	}
+	return names
 }

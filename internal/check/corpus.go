@@ -197,7 +197,8 @@ func ReplaySeed(e SeedEntry) error {
 		c := tracecache.New(e.Seed.param("budgetsmalls", 3) * entryBytes(smallBlks))
 		c.GetBlocks(smallCfg)
 		want, wantSum := bigCfg.Records()
-		got, gotSum := c.Get(bigCfg)
+		gotBlks, gotSum := c.GetBlocks(bigCfg)
+		got := trace.BlocksRecords(gotBlks)
 		if !slices.Equal(got, want) || gotSum.Records != wantSum.Records {
 			return fmt.Errorf("seed %s: oversized trace served %d records, want %d", e.Seed.Name, len(got), len(want))
 		}

@@ -293,13 +293,8 @@ func decodeEvents(resp *http.Response) ([]serve.CellResult, error) {
 
 // serialCells runs the named workloads through the named suite in-process.
 func serialCells(workloads []string, events int, suiteName string) (map[string][]stats.Counters, error) {
-	var build func() []predictor.IndirectPredictor
-	switch suiteName {
-	case "", "fig6":
-		build = bench.Figure6Predictors
-	case "fig7":
-		build = bench.Figure7Predictors
-	default:
+	names, ok := bench.Lineup(suiteName)
+	if !ok {
 		return nil, fmt.Errorf("unknown suite %q", suiteName)
 	}
 	out := make(map[string][]stats.Counters, len(workloads))
@@ -310,7 +305,8 @@ func serialCells(workloads []string, events int, suiteName string) (map[string][
 		}
 		cfg.Events = events
 		recs, _ := cfg.Records()
-		out[cfg.String()] = sim.Run(recs, build()...)
+		preds, _ := bench.Predictors(names)
+		out[cfg.String()] = sim.Run(recs, preds...)
 	}
 	return out, nil
 }

@@ -1,12 +1,14 @@
-// Package report renders fixed-width text tables and simple horizontal bar
-// charts for the experiment harness, so the regenerated Tables/Figures read
-// like the paper's.
+// Package report renders fixed-width text tables and misprediction
+// matrices for the experiment harness and the service, so the regenerated
+// Tables/Figures read like the paper's.
 package report
 
 import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Table accumulates rows of string cells under a header and renders them
@@ -91,32 +93,39 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Bars renders a labelled horizontal bar chart of percentages (0-100),
-// mimicking the misprediction-ratio figures.
-func Bars(w io.Writer, title string, labels []string, values []float64, maxWidth int) {
-	if maxWidth <= 0 {
-		maxWidth = 50
-	}
-	if title != "" {
+// Matrix renders a misprediction matrix: one row per run, named by runs,
+// one column per predictor, named by the first row's counters, and a MEAN
+// row of per-run ratio averages. With no rows it prints the title and
+// "(no cells)".
+func Matrix(w io.Writer, title string, runs []string, rows [][]stats.Counters) {
+	if len(rows) == 0 {
 		fmt.Fprintln(w, title)
+		fmt.Fprintln(w, "  (no cells)")
+		return
 	}
-	labW := 0
-	maxV := 0.0
-	for i, l := range labels {
-		if len(l) > labW {
-			labW = len(l)
+	header := []string{"run"}
+	for _, c := range rows[0] {
+		header = append(header, c.Predictor)
+	}
+	t := NewTable(title, header...)
+	for i, row := range rows {
+		cells := []string{runs[i]}
+		for _, c := range row {
+			cells = append(cells, Pct(c.MispredictionRatio()))
 		}
-		if values[i] > maxV {
-			maxV = values[i]
+		t.AddRow(cells...)
+	}
+	mean := []string{"MEAN"}
+	column := make([]stats.Counters, len(rows))
+	for j := range rows[0] {
+		for i, row := range rows {
+			column[i] = row[j]
 		}
+		mean = append(mean, Pct(stats.MeanRatio(column)))
 	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	for i, l := range labels {
-		n := int(values[i] / maxV * float64(maxWidth))
-		fmt.Fprintf(w, "%s  %6.2f%%  %s\n", pad(l, labW), values[i], strings.Repeat("#", n))
-	}
+	t.AddRow(mean...)
+	t.Render(w)
+	fmt.Fprintln(w)
 }
 
 // Pct formats a ratio in [0,1] as a percentage string.

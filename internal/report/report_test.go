@@ -3,6 +3,8 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestTableRender(t *testing.T) {
@@ -45,25 +47,23 @@ func TestTableAddRowf(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
+// TestMatrix pins the matrix layout: predictor columns named by the first
+// row, one row per run, and a MEAN row averaging each column's per-run
+// ratios (runs without lookups skipped).
+func TestMatrix(t *testing.T) {
 	var b strings.Builder
-	Bars(&b, "Mispredictions", []string{"BTB", "PPM"}, []float64{40, 10}, 20)
-	out := b.String()
-	if !strings.Contains(out, "Mispredictions") {
-		t.Error("missing title")
+	Matrix(&b, "M", []string{"r1", "r2"}, [][]stats.Counters{
+		{{Predictor: "A", Lookups: 100, Wrong: 10}, {Predictor: "B", Lookups: 100, NoPrediction: 50}},
+		{{Predictor: "A", Lookups: 100, Wrong: 30}, {Predictor: "B"}},
+	})
+	want := "M\nrun   A      B\n----  -----  -----\nr1    10.00  50.00\nr2    30.00  0.00\nMEAN  20.00  50.00\n\n"
+	if b.String() != want {
+		t.Errorf("Matrix =\n%q\nwant\n%q", b.String(), want)
 	}
-	btbHashes := strings.Count(strings.Split(out, "\n")[1], "#")
-	ppmHashes := strings.Count(strings.Split(out, "\n")[2], "#")
-	if btbHashes != 20 || ppmHashes != 5 {
-		t.Errorf("bar lengths %d/%d, want 20/5\n%s", btbHashes, ppmHashes, out)
-	}
-}
-
-func TestBarsZeroMax(t *testing.T) {
-	var b strings.Builder
-	Bars(&b, "", []string{"x"}, []float64{0}, 0)
-	if !strings.Contains(b.String(), "0.00%") {
-		t.Errorf("zero bars output: %q", b.String())
+	b.Reset()
+	Matrix(&b, "M", nil, nil)
+	if b.String() != "M\n  (no cells)\n" {
+		t.Errorf("empty Matrix = %q", b.String())
 	}
 }
 

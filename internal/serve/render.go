@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -20,42 +19,23 @@ func (p PredictorResult) Counters() stats.Counters {
 }
 
 // RenderMatrix renders streamed cell results as the experiment harness's
-// misprediction matrix — one row per run, one column per predictor, a MEAN
-// row of per-run ratio averages — using the same report.Table and
-// percentage formatting as cmd/experiments' printMatrix. Cells arrive in
-// completion order (the stream is concurrent); they are sorted back into
-// suite order by index, so for a given (workload config, suite, events) the
-// output is byte-identical to the serial harness. CI pins that equivalence.
+// misprediction matrix. It is the same function as cmd/experiments'
+// printMatrix: both call report.Matrix. Cells arrive in completion order
+// (the stream is concurrent); they are sorted back into suite order by
+// index, so for a given (workload config, suite, events) the output is
+// byte-identical to the serial harness. CI pins that equivalence.
 func RenderMatrix(w io.Writer, title string, cells []CellResult) {
-	if len(cells) == 0 {
-		fmt.Fprintln(w, title)
-		fmt.Fprintln(w, "  (no cells)")
-		return
-	}
 	ordered := make([]CellResult, len(cells))
 	copy(ordered, cells)
 	sort.Slice(ordered, func(a, b int) bool { return ordered[a].Index < ordered[b].Index })
-
-	names := make([]string, len(ordered[0].Predictors))
-	for i, p := range ordered[0].Predictors {
-		names[i] = p.Name
-	}
-	t := report.NewTable(title, append([]string{"run"}, names...)...)
-	perPred := make(map[string][]stats.Counters)
-	for _, cell := range ordered {
-		row := []string{cell.Run}
-		for _, p := range cell.Predictors {
-			c := p.Counters()
-			row = append(row, report.Pct(c.MispredictionRatio()))
-			perPred[c.Predictor] = append(perPred[c.Predictor], c)
+	runs := make([]string, len(ordered))
+	rows := make([][]stats.Counters, len(ordered))
+	for i, cell := range ordered {
+		runs[i] = cell.Run
+		rows[i] = make([]stats.Counters, len(cell.Predictors))
+		for j, p := range cell.Predictors {
+			rows[i][j] = p.Counters()
 		}
-		t.AddRow(row...)
 	}
-	avg := []string{"MEAN"}
-	for _, n := range names {
-		avg = append(avg, report.Pct(stats.MeanRatio(perPred[n])))
-	}
-	t.AddRow(avg...)
-	t.Render(w)
-	fmt.Fprintln(w)
+	report.Matrix(w, title, runs, rows)
 }

@@ -319,29 +319,19 @@ func resolveSuite(spec JobSpec) (func() []predictor.IndirectPredictor, error) {
 	if spec.Suite != "" && len(spec.Predictors) > 0 {
 		return nil, errors.New("suite and predictors are mutually exclusive")
 	}
+	names, ok := bench.Lineup(spec.Suite)
 	if len(spec.Predictors) > 0 {
-		for _, name := range spec.Predictors {
-			if _, ok := bench.NewPredictor(name); !ok {
-				return nil, fmt.Errorf("unknown predictor %q", name)
-			}
+		if _, err := bench.Predictors(spec.Predictors); err != nil {
+			return nil, err
 		}
-		names := spec.Predictors
-		return func() []predictor.IndirectPredictor {
-			preds := make([]predictor.IndirectPredictor, len(names))
-			for i, n := range names {
-				preds[i], _ = bench.NewPredictor(n)
-			}
-			return preds
-		}, nil
-	}
-	switch spec.Suite {
-	case "", "fig6":
-		return bench.Figure6Predictors, nil
-	case "fig7":
-		return bench.Figure7Predictors, nil
-	default:
+		names = spec.Predictors
+	} else if !ok {
 		return nil, fmt.Errorf("unknown suite %q (want fig6, fig7, or explicit predictors)", spec.Suite)
 	}
+	return func() []predictor.IndirectPredictor {
+		preds, _ := bench.Predictors(names)
+		return preds
+	}, nil
 }
 
 // resolveWorkloads maps a JobSpec's run selection to concrete configs at

@@ -83,41 +83,3 @@ func MeanRatio(runs []Counters) float64 {
 	}
 	return sum / float64(n)
 }
-
-// WeightedRatio returns total mispredictions over total lookups across runs.
-func WeightedRatio(runs []Counters) float64 {
-	var mis, total uint64
-	for _, r := range runs {
-		mis += r.Mispredictions()
-		total += r.Lookups
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(mis) / float64(total)
-}
-
-// Distribution summarizes a discrete distribution (e.g. per-component
-// accesses in the PPM stack).
-type Distribution struct {
-	Labels []string
-	Counts []uint64
-}
-
-// Total sums the counts.
-func (d Distribution) Total() uint64 {
-	var t uint64
-	for _, c := range d.Counts {
-		t += c
-	}
-	return t
-}
-
-// Share returns counts[i] as a fraction of the total (0 when empty).
-func (d Distribution) Share(i int) float64 {
-	t := d.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(d.Counts[i]) / float64(t)
-}

@@ -57,19 +57,6 @@ func TestMeanRatio(t *testing.T) {
 	}
 }
 
-func TestWeightedRatio(t *testing.T) {
-	runs := []Counters{
-		{Lookups: 100, Wrong: 10},
-		{Lookups: 300, Wrong: 10},
-	}
-	if got := WeightedRatio(runs); math.Abs(got-20.0/400.0) > 1e-12 {
-		t.Errorf("WeightedRatio = %v", got)
-	}
-	if WeightedRatio(nil) != 0 {
-		t.Error("WeightedRatio(nil) != 0")
-	}
-}
-
 func TestRatiosBounded(t *testing.T) {
 	f := func(correct, wrong, nop uint32) bool {
 		c := Counters{
@@ -91,19 +78,5 @@ func TestCountersString(t *testing.T) {
 	s := c.String()
 	if !strings.Contains(s, "PPM-hyb") || !strings.Contains(s, "10.00%") {
 		t.Errorf("String = %q", s)
-	}
-}
-
-func TestDistribution(t *testing.T) {
-	d := Distribution{Labels: []string{"a", "b"}, Counts: []uint64{30, 10}}
-	if d.Total() != 40 {
-		t.Errorf("Total = %d", d.Total())
-	}
-	if math.Abs(d.Share(0)-0.75) > 1e-12 {
-		t.Errorf("Share(0) = %v", d.Share(0))
-	}
-	empty := Distribution{Labels: []string{"a"}, Counts: []uint64{0}}
-	if empty.Share(0) != 0 {
-		t.Error("empty distribution Share != 0")
 	}
 }

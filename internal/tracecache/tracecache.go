@@ -7,9 +7,8 @@
 //
 // Blocks are the only form a cached trace takes: each entry is generated
 // straight into blocks (workload.Config.Blocks) and charged its columnar
-// footprint (trace.BlocksBytes). Get is a record view for block-unaware
-// callers: it flattens the cached blocks on every call, and nothing
-// record-shaped stays resident.
+// footprint (trace.BlocksBytes). Get is a record view that flattens the
+// cached blocks on every call, and nothing record-shaped stays resident.
 //
 // Entries are held under a configurable memory budget with LRU eviction.
 // An evicted entry is not an error: the next call simply regenerates it —
@@ -109,7 +108,10 @@ func (c *Cache) GetBlocks(cfg workload.Config) ([]trace.Block, workload.Summary)
 
 // Get returns cfg's trace as records, plus its summary. It is an uncached
 // view over GetBlocks: every call flattens the shared blocks into a fresh
-// slice the caller owns, so prefer GetBlocks wherever blocks will do.
+// slice the caller owns, so prefer GetBlocks wherever blocks will do. Its
+// last caller outside tests is the benchmark's tracedSimulate
+// (benchmark/grid.go), which reads only the summary; Get goes when that
+// caller moves to GetBlocks.
 func (c *Cache) Get(cfg workload.Config) ([]trace.Record, workload.Summary) {
 	blks, sum := c.GetBlocks(cfg)
 	return trace.BlocksRecords(blks), sum
