@@ -139,17 +139,19 @@ func TestRefSFSXSAgree(t *testing.T) {
 	}
 }
 
-// TestSFSXSAllSweep holds the all-orders pass, in both orientations, to the
-// bit-vector references over every PPM geometry the configuration allows
-// (selBits 1-32, foldBits 1-selBits, maxOrder 1-20) and every recorded
-// path length up to maxOrder. Targets carry bits above bit 33, which the
-// select must drop, and the ring is rotated and padded with junk past the
-// recorded path, which the pass must not read as path.
-func TestSFSXSAllSweep(t *testing.T) {
+// TestSFSXSNestSweep holds the fold-once, nest-per-lookup derivation PPM
+// uses — each target folded by hashing.Fold as it is pushed, the folds
+// nested by hashing.SFSXSNest — in both orientations to the bit-vector
+// references over every PPM geometry the configuration allows (selBits
+// 1-32, foldBits 1-selBits, maxOrder 1-20) and every recorded path length up
+// to maxOrder. Targets carry bits above bit 33, which the fold must drop;
+// folds past the recorded path are zero, as a zeroed register's are, and
+// folds past the order hold junk the nest must not read.
+func TestSFSXSNestSweep(t *testing.T) {
 	const maxOrder = 20
 	rng := workload.NewRNG(17)
-	ring := make([]uint64, maxOrder)
-	dst := make([]uint64, maxOrder+1)
+	folds := make([]uint64, maxOrder+1)
+	dst := make([]uint64, maxOrder)
 	want := make([][2]uint64, maxOrder+1)
 	for selBits := uint(1); selBits <= 32; selBits++ {
 		for foldBits := uint(1); foldBits <= selBits; foldBits++ {
@@ -165,20 +167,22 @@ func TestSFSXSAllSweep(t *testing.T) {
 					}
 				}
 				for order := max(n, 1); order <= maxOrder; order++ {
-					r := ring[:order]
-					head := rng.Intn(order)
-					for i := range r {
-						r[i] = rng.Uint64()
-					}
-					for i, tg := range path[:n] {
-						r[(head-i+order)%order] = tg
+					for i := range folds {
+						switch {
+						case i < n:
+							folds[i] = hashing.Fold(path[i]>>2, selBits, foldBits)
+						case i < order:
+							folds[i] = 0
+						default:
+							folds[i] = rng.Uint64()
+						}
 					}
 					for side, low := range []bool{false, true} {
-						hashing.SFSXSAll(dst[:order+1], r, head, n, selBits, foldBits, low)
+						hashing.SFSXSNest(dst[:order], folds, foldBits, low)
 						for o := 1; o <= order; o++ {
-							if dst[o] != want[o][side] {
-								t.Fatalf("SFSXSAll(sel=%d fold=%d maxOrder=%d len=%d low=%t)[%d] = %#x, ref %#x",
-									selBits, foldBits, order, n, low, o, dst[o], want[o][side])
+							if dst[o-1] != want[o][side] {
+								t.Fatalf("SFSXSNest(sel=%d fold=%d maxOrder=%d len=%d low=%t)[%d] = %#x, ref %#x",
+									selBits, foldBits, order, n, low, o, dst[o-1], want[o][side])
 							}
 						}
 					}
@@ -188,14 +192,20 @@ func TestSFSXSAllSweep(t *testing.T) {
 	}
 }
 
+// TestRefReverseInterleaveAgrees holds the branch-free Morton form of the
+// Dual-path index to the bit-by-bit reference for every index width n and
+// every history width in [1, 64], over random registers and addresses
+// whose bits above each width must not leak in.
 func TestRefReverseInterleaveAgrees(t *testing.T) {
 	rng := workload.NewRNG(15)
-	for i := 0; i < 2000; i++ {
-		h, pc := rng.Uint64(), rng.Uint64()
-		historyBits := uint(1 + rng.Intn(64))
-		n := uint(1 + rng.Intn(20))
-		if got, want := hashing.ReverseInterleave(h, historyBits, pc, n), refReverseInterleave(h, historyBits, pc, n); got != want {
-			t.Fatalf("ReverseInterleave(%#x,%d,%#x,%d) = %#x, ref %#x", h, historyBits, pc, n, got, want)
+	for n := uint(1); n <= 64; n++ {
+		for historyBits := uint(1); historyBits <= 64; historyBits++ {
+			for i := 0; i < 4; i++ {
+				h, pc := rng.Uint64(), rng.Uint64()
+				if got, want := hashing.ReverseInterleave(h, historyBits, pc, n), refReverseInterleave(h, historyBits, pc, n); got != want {
+					t.Fatalf("ReverseInterleave(%#x,%d,%#x,%d) = %#x, ref %#x", h, historyBits, pc, n, got, want)
+				}
+			}
 		}
 	}
 }

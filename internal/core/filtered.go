@@ -165,10 +165,7 @@ func (f *FilteredPPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction)
 		} else if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
 			p.biu.ObserveIndirect(pcs[i], m&trace.MetaMT != 0)
 		}
-		p.pb.Push(tgt)
-		if pib {
-			p.pib.Push(tgt)
-		}
+		p.push(tgt, pib)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/hashing"
 	"repro/internal/predictor"
 	"repro/internal/trace"
 )
@@ -160,7 +161,7 @@ func NewMultiTarget(order, k int) *MultiPPM {
 		k:      k,
 		name:   "PPM-multi",
 	}
-	m.pending.indices = make([]uint64, order+1)
+	m.pending.indices = make([]uint64, order)
 	return m
 }
 
@@ -188,12 +189,12 @@ func (m *MultiPPM) Predict(pc uint64) (uint64, bool) {
 	pd.chosen = -1
 	pd.ok = false
 	pd.target = 0
-	// Same incremental all-orders pass as PPM.Predict: each order's SFSXS
-	// hash nests inside the next, so one sweep over the PIB ring serves all.
-	m.inner.pib.SFSXSAll(pd.indices, cfg.TargetBits, cfg.FoldBits, cfg.LowSelect)
-	// indices holds Order+1 entries and tables Order, by construction.
+	// Same all-orders pass as PPM.Predict over the inner PPM's PIB folds:
+	// each order's SFSXS hash nests inside the next.
+	hashing.SFSXSNest(pd.indices, m.inner.pibFolds.window(), cfg.FoldBits, cfg.LowSelect)
+	// indices and tables both hold Order entries, order j at j-1.
 	for j := cfg.Order; j >= 1; j-- {
-		idx := pd.indices[j]
+		idx := pd.indices[j-1]
 		if tgt, ok := m.tables[j-1].lookup(idx); ok {
 			pd.chosen = j
 			pd.target = tgt
@@ -214,7 +215,7 @@ func (m *MultiPPM) Update(_, target uint64) {
 		low = 1
 	}
 	for j := m.inner.Config().Order; j >= low; j-- {
-		m.tables[j-1].train(pd.indices[j], target)
+		m.tables[j-1].train(pd.indices[j-1], target)
 	}
 }
 
@@ -244,10 +245,7 @@ func (m *MultiPPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 			j++
 			m.Update(pc, tgt)
 		}
-		p.pb.Push(tgt)
-		if pib {
-			p.pib.Push(tgt)
-		}
+		p.push(tgt, pib)
 	}
 }
 

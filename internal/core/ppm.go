@@ -120,7 +120,12 @@ type PPM struct {
 	zero   markovEntry    // the order-0 component: most recent MT target
 	pb     *history.PHR
 	pib    *history.PHR
-	biu    *predictor.BIU
+	// pbFolds and pibFolds hold the SFSXS fold of each target recorded in
+	// pb and pib (foldRing). PPM-PIB never reads its PB history, so it
+	// keeps no PB ring: pbFolds is nil.
+	pbFolds  *foldRing
+	pibFolds *foldRing
+	biu      *predictor.BIU
 
 	pending struct {
 		pc      uint64
@@ -153,14 +158,18 @@ func New(cfg Config) *PPM {
 		mode = counter.PIBBiased
 	}
 	p := &PPM{
-		cfg:    cfg,
-		tables: tables,
-		pb:     history.New(history.AllBranches, cfg.Order, cfg.TargetBits, 0),
-		pib:    history.New(history.IndirectBranches, cfg.Order, cfg.TargetBits, 0),
-		biu:    predictor.NewBIU(mode, cfg.BIULimit),
-		stats:  newComponentStats(cfg.Order),
+		cfg:      cfg,
+		tables:   tables,
+		pb:       history.New(history.AllBranches, cfg.Order, cfg.TargetBits, 0),
+		pib:      history.New(history.IndirectBranches, cfg.Order, cfg.TargetBits, 0),
+		pibFolds: new(foldRing),
+		biu:      predictor.NewBIU(mode, cfg.BIULimit),
+		stats:    newComponentStats(cfg.Order),
 	}
-	p.pending.indices = make([]uint64, cfg.Order+1)
+	if cfg.Mode != PIBOnly {
+		p.pbFolds = new(foldRing)
+	}
+	p.pending.indices = make([]uint64, cfg.Order)
 	return p
 }
 
@@ -201,24 +210,24 @@ func (p *PPM) Order() int { return p.cfg.Order }
 // BIU exposes the branch identification unit (e.g. for eviction stats).
 func (p *PPM) BIU() *predictor.BIU { return p.biu }
 
-// selectHistory returns the PHR the branch at pc should use, consulting the
-// BIU selection counter in the hybrid modes.
-func (p *PPM) selectHistory(pc uint64) (*history.PHR, *predictor.BIUEntry) {
+// selectHistory returns the fold ring of the PHR the branch at pc should
+// use, consulting the BIU selection counter in the hybrid modes.
+func (p *PPM) selectHistory(pc uint64) (*foldRing, *predictor.BIUEntry) {
 	if p.cfg.Mode == PIBOnly {
-		return p.pib, nil
+		return p.pibFolds, nil
 	}
 	e := p.biu.Ensure(pc)
 	if e.Sel.Selected() == counter.PB {
-		return p.pb, e
+		return p.pbFolds, e
 	}
-	return p.pib, e
+	return p.pibFolds, e
 }
 
 // Predict implements predictor.IndirectPredictor: all Markov components are
 // accessed in parallel with their per-order SFSXS indices and the valid
 // entry of the highest order supplies the target (Figure 3's buffer chain).
 func (p *PPM) Predict(pc uint64) (uint64, bool) {
-	phr, sel := p.selectHistory(pc)
+	folds, sel := p.selectHistory(pc)
 	tag := uint32(hashing.Mix64(pc>>2) >> 48)
 
 	pd := &p.pending
@@ -229,13 +238,13 @@ func (p *PPM) Predict(pc uint64) (uint64, bool) {
 	pd.ok = false
 	pd.target = 0
 
-	// One incremental pass over the register's ring derives every order's
-	// SFSXS index (each order's hash nests inside the next).
-	phr.SFSXSAll(pd.indices, p.cfg.TargetBits, p.cfg.FoldBits, p.cfg.LowSelect)
+	// The selected register's targets were folded as they were pushed; one
+	// pass nests every order's SFSXS index (each inside the next).
+	hashing.SFSXSNest(pd.indices, folds.window(), p.cfg.FoldBits, p.cfg.LowSelect)
 
-	// indices holds Order+1 entries and tables Order, by construction.
+	// indices and tables both hold Order entries, order j at j-1.
 	for j := p.cfg.Order; j >= 1; j-- {
-		idx := pd.indices[j]
+		idx := pd.indices[j-1]
 		if e := p.tables[j-1].lookup(idx, tag); e != nil && e.hyst.Value() >= p.cfg.ConfidenceThreshold {
 			pd.chosen = j
 			pd.target = e.target
@@ -286,7 +295,7 @@ func (p *PPM) UpdateAlloc(_, target uint64, train bool) {
 			low = 0 // nothing predicted: every component learns the branch
 		}
 		for j := p.cfg.Order; j >= 1 && j >= low; j-- {
-			p.tables[j-1].train(pd.indices[j], pd.tag, target)
+			p.tables[j-1].train(pd.indices[j-1], pd.tag, target)
 		}
 		if low == 0 {
 			trainZero(&p.zero, target)
@@ -319,19 +328,19 @@ func (p *PPM) Observe(r trace.Record) {
 	if p.cfg.Mode != PIBOnly {
 		p.biu.Observe(r)
 	}
-	p.pb.Observe(r)
-	p.pib.Observe(r)
+	p.push(r.Target, r.PIBStream())
 }
 
 // ProcessBlock implements the engine's batch fast path: one pass over the
 // block's lanes replaying the record protocol with the Observe fan-out
 // devirtualized — the mode check is hoisted out of the loop, the BIU class
 // check is folded into the meta-byte dispatch, and the history registers
-// are pushed directly instead of re-deciding their streams per record (the
-// PB register accepts every branch; the PIB register exactly the indirect
-// jmp/jsr records). Each indirect record probes the BIU once: an MT record
-// sets the MT bit on the entry Predict selected its history with, the
-// entry the record's Observe would find. BIU touches stay in record order,
+// are pushed through the push Observe uses, with the stream read off the
+// meta byte instead of re-decided per register (the PB register accepts
+// every branch; the PIB register exactly the indirect jmp/jsr records).
+// Each indirect record probes the BIU once: an MT record sets the MT bit on
+// the entry Predict selected its history with, the entry the record's
+// Observe would find. BIU touches stay in record order,
 // so a bounded BIU's FIFO eviction sequence is identical to the record
 // loop's.
 //
@@ -358,10 +367,7 @@ func (p *PPM) ProcessBlock(b *trace.Block, preds []predictor.Prediction) {
 		} else if hyb && (pib || cls == trace.Return || cls == trace.JsrCoroutine) {
 			p.biu.ObserveIndirect(pcs[i], m&trace.MetaMT != 0)
 		}
-		p.pb.Push(tgt)
-		if pib {
-			p.pib.Push(tgt)
-		}
+		p.push(tgt, pib)
 	}
 }
 
@@ -379,6 +385,10 @@ func (p *PPM) Reset() {
 	p.zero = markovEntry{}
 	p.pb.Reset()
 	p.pib.Reset()
+	if p.pbFolds != nil {
+		p.pbFolds.reset()
+	}
+	p.pibFolds.reset()
 	p.biu.Reset()
 	p.pending.sel = nil
 	p.stats = newComponentStats(p.cfg.Order)

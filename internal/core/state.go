@@ -58,6 +58,13 @@ func (p *PPM) Walk(c *state.Codec) {
 	}
 	p.pb.Walk(c)
 	p.pib.Walk(c)
+	if c.Loading() {
+		// The fold rings are derived from the registers and never travel.
+		if p.pbFolds != nil {
+			p.pbFolds.rebuild(p.pb, p.fold)
+		}
+		p.pibFolds.rebuild(p.pib, p.fold)
+	}
 	p.biu.Walk(c)
 }
 

@@ -8,9 +8,10 @@ package hashing
 //   - FoldWords folds a multi-word history register from scratch — the
 //     specification form, used by the naive references and by snapshot
 //     restore;
-//   - Folded maintains the same fold incrementally, one rotate and two
-//     single-item folds per history push — the circular-shift-register
-//     idiom of the TAGE/ITTAGE hardware designs, used on the hot path.
+//   - Folded maintains the same fold incrementally, two constant rotations
+//     per history push (plus two single-item folds when an item is wider
+//     than the fold) — the circular-shift-register idiom of the TAGE/ITTAGE
+//     hardware designs, used on the hot path.
 //
 // The folding function is Φ(X) = XOR of successive out-bit chunks of X
 // (what Fold computes for a single word). Φ is linear over XOR and commutes
@@ -62,13 +63,26 @@ func FoldWords(words []uint64, in, out uint) uint64 {
 // the invariant that lets a predictor with a 128-bit geometric history pay
 // O(1) per push instead of refolding the whole register per lookup.
 //
+// Everything about the geometry is reduced at construction: the two
+// rotations an update applies become shift pairs and the output mask a
+// constant, so Update is straight-line shifts and XORs, plus fold rounds
+// only when an item is wider than the fold.
+//
 // The zero value is a fold of an all-zero window, which matches a path
 // history register that powers up zeroed.
 type Folded struct {
 	comp uint64
-	bits uint // bits contributed per item
-	out  uint // folded width
-	rot  uint // (window*bits) % out: folded position of the outgoing item
+	mask uint64 // Mask(out)
+	item uint64 // Mask(bits): the history bits of one item
+	bits uint   // bits contributed per item
+	out  uint   // folded width
+	// The register rotates left by bits%out per push (shl, with shr =
+	// out-shl the matching right shift) and the outgoing item enters at
+	// folded position (window*bits)%out (rotl, with rotr = out-rotl). A
+	// right shift by out clears a value that fits in out bits, so a zero
+	// rotation needs no special case.
+	shl, shr   uint
+	rotl, rotr uint
 }
 
 // NewFolded returns a folded register over a window of the given item count,
@@ -84,7 +98,17 @@ func NewFolded(window int, bitsPer, out uint) Folded {
 	if out == 0 || out > 64 {
 		panic("hashing: folded output width must be in [1, 64]")
 	}
-	return Folded{bits: bitsPer, out: out, rot: (uint(window) * bitsPer) % out}
+	shl, rot := bitsPer%out, (uint(window)*bitsPer)%out
+	return Folded{
+		mask: Mask(out),
+		item: Mask(bitsPer),
+		bits: bitsPer,
+		out:  out,
+		shl:  shl,
+		shr:  out - shl,
+		rotl: rot,
+		rotr: out - rot,
+	}
 }
 
 // Out returns the folded output width in bits.
@@ -101,10 +125,18 @@ func (f *Folded) Out() uint { return f.out }
 //
 //ppm:hotpath per-record folded-history shift; runs once per bank per push
 func (f *Folded) Update(newest, outgoing uint64) {
-	c := RotL(f.comp, f.bits, f.out)
-	c ^= Fold(newest, f.bits, f.out)
-	c ^= RotL(Fold(outgoing, f.bits, f.out), f.rot, f.out)
-	f.comp = c
+	// Fold both items at once; an item no wider than the fold takes no
+	// round.
+	n, o := newest&f.item, outgoing&f.item
+	for s := f.out; s < f.bits; s <<= 1 {
+		n ^= n >> (s & 63)
+		o ^= o >> (s & 63)
+	}
+	// Bits of n and of the rotated register past out fall to the final
+	// mask; o is masked first, since its rotation brings high bits down.
+	o &= f.mask
+	c := f.comp
+	f.comp = (c<<f.shl | c>>f.shr ^ n ^ (o<<f.rotl | o>>f.rotr)) & f.mask
 }
 
 // Value returns the current folded history.
@@ -117,4 +149,4 @@ func (f *Folded) Reset() { f.comp = 0 }
 
 // Set overwrites the folded value; snapshot restore paths use it to reseed
 // the register from a from-scratch FoldWords over the restored history.
-func (f *Folded) Set(v uint64) { f.comp = v & Mask(f.out) }
+func (f *Folded) Set(v uint64) { f.comp = v & f.mask }

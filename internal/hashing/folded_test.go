@@ -106,6 +106,20 @@ func TestFoldedMatchesFromScratch(t *testing.T) {
 		{37, 3, 11},  // non-power-of-two everything
 		{5, 13, 7},   // item wider than out
 		{100, 1, 13}, // long single-bit history
+		// The geometries NewFolded reduces differently: an item narrower
+		// than, as wide as and wider than the fold (one round and several),
+		// a zero outgoing rotation, and the full 64-bit fold, whose right
+		// shifts by out clear the word.
+		{7, 3, 5},   // bitsPer < out, rot 21%5 = 1
+		{6, 8, 8},   // bitsPer == out, rot 0
+		{9, 10, 10}, // bitsPer == out, rot 90%10 = 0
+		{9, 40, 12}, // bitsPer > out, two fold rounds per item
+		{3, 64, 7},  // whole-word items, 64 bits into 7
+		{12, 3, 9},  // rot 36%9 = 0 with a nonzero per-push rotation
+		{64, 2, 64}, // out 64: rot 128%64 = 0
+		{40, 3, 64}, // out 64: rot 120%64 = 56
+		{10, 7, 64}, // out 64: rot 70%64 = 6
+		{2, 64, 64}, // out 64, bitsPer 64: the register is the window XOR
 	}
 	for _, c := range cases {
 		f := NewFolded(c.window, c.bitsPer, c.out)

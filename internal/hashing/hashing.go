@@ -33,17 +33,18 @@ func Select(v uint64, n uint) uint64 { return v & Mask(n) }
 // successive out-bit chunks together. If out >= in the value is returned
 // masked to in bits; out == 0 yields 0. in must be <= 64.
 //
-// The loop runs ceil(in/out) rounds whatever the data, and every shift
-// count is reduced mod 64 (out == 64 never reaches a second round).
+// XORing the value with itself shifted by out, 2*out, 4*out, ... collects
+// every out-bit chunk in the low bits, so the loop runs
+// ceil(log2(ceil(in/out))) rounds whatever the data (one for the paper's
+// 10-into-5 SFSXS fold), and every shift count is reduced mod 64.
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
-func Fold(v uint64, in, out uint) (folded uint64) {
+func Fold(v uint64, in, out uint) uint64 {
 	v &= Mask(in)
-	for m, sh := Mask(out), uint(0); sh < in; sh += max(out, 1) {
-		folded ^= v & m
-		v >>= out & 63
+	for s := max(out, 1); s < in; s <<= 1 { // a zero width would never end the rounds
+		v ^= v >> (s & 63)
 	}
-	return folded
+	return v & Mask(out)
 }
 
 // GShare forms a bits-wide index by XORing the branch address (shifted right
@@ -108,66 +109,46 @@ func SFSXS(targets []uint64, selBits, foldBits, order uint) uint64 {
 	return (h >> (width - order)) & Mask(order)
 }
 
-// SFSXSAll computes SFSXS (or SFSXSLow when low is set) for every order in
-// [1, len(dst)-1] in one incremental pass, writing the order-j index to
-// dst[j]; dst[0] is left as is. The path is read in place from a path
-// history ring: the most recent target is ring[head], the next ring[head-1],
-// wrapping from ring[0] to ring[len(ring)-1], and only the n most recent
-// targets count (fewer than an order during warm-up). head must index ring.
+// SFSXSNest writes the SFSXS index (or the SFSXSLow index when low is set)
+// of every order o in [1, len(dst)] to dst[o-1]. folds[i] is the SFSXS fold
+// Fold(t>>2, selBits, foldBits) of the i-th most recent path target t, or
+// zero past the recorded path, and folds must hold at least len(dst)
+// entries.
 //
-// The per-order hashes nest: with g_i the folded contribution of the i-th
-// most recent target, the high-select hash for order o is
-// h_o = (h_{o-1} << 1) ^ g_{o-1}, and with foldBits >= 1 the final select
-// always shifts by the constant foldBits-1 — so one fold per target and one
-// shift-XOR per order replace the O(order^2) refolds of calling SFSXS per
-// order. foldBits must be in [1, selBits] and selBits <= 32 (every PPM
-// configuration validates this).
+// Each target's fold depends only on that target, so a predictor folds a
+// target once, when it enters the path history, and keeps the folds beside
+// the register (core's fold rings); a lookup then only nests them. The
+// per-order hashes nest: with g_i the fold of the i-th most recent target,
+// the high-select hash for order o is h_o = (h_{o-1} << 1) ^ g_{o-1}, and
+// with foldBits >= 1 the final select always shifts by the constant
+// foldBits-1, so one shift-XOR per order replaces the O(order^2) placements
+// of calling SFSXS per order. foldBits must be in [1, 64]; every PPM
+// configuration has it in [1, 32].
 //
-// Cost model: nothing branches on target data. Each target takes
-// ceil(log2(ceil(selBits/foldBits))) fold rounds (one for the paper's 10/5),
-// targets past n are masked to zero rather than skipped, and every shift
-// count is reduced mod 64, so the compiler emits no shift guards. Two short
-// passes keep the loop state in registers. Equivalence with the bit-vector
+// Nothing branches on target data, and every shift count is reduced mod
+// 64, so the compiler emits no shift guards. Equivalence with the bit-vector
 // references is pinned by the check package's sweep.
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
-func SFSXSAll(dst, ring []uint64, head, n int, selBits, foldBits uint, low bool) {
-	// First pass: dst[o] holds the fold of the o-th most recent target, or
-	// zero past the recorded path. XORing the value with itself shifted by
-	// foldBits, 2*foldBits, 4*foldBits, ... collects every foldBits-wide
-	// chunk in the low bits, so the paper's 10-into-5 fold is one round.
-	sel, fm := Mask(selBits), Mask(foldBits)
-	fs := max(foldBits, 1) // a zero width would never end the rounds
-	i := head
-	for o := 1; o < len(dst); o++ {
-		g := ring[i] >> 2 & sel
-		for s := fs; s < selBits; s <<= 1 {
-			g ^= g >> (s & 63)
-		}
-		dst[o] = g & fm & uint64(int64(o-1-n)>>63) // all ones while o-1 < n
-		i--
-		if i < 0 {
-			i = len(ring) - 1
-		}
-	}
-	// Second pass: nest the per-order hashes in place.
+func SFSXSNest(dst, folds []uint64, foldBits uint, low bool) {
+	folds = folds[:len(dst)]
 	var h, m uint64
 	if low {
 		// Low-select: fold i sits at bit positions [i, i+foldBits); entries
 		// at i >= o only occupy bits >= o, so masking the running hash to o
 		// bits is exactly the per-order cap on path length.
-		for o := 1; o < len(dst); o++ {
-			h ^= dst[o] << (uint(o-1) & 63)
+		for i, g := range folds {
+			h ^= g << (uint(i) & 63)
 			m = m<<1 | 1
-			dst[o] = h & m
+			dst[i] = h & m
 		}
 		return
 	}
 	top := (foldBits + 63) & 63 // foldBits-1, reduced mod 64
-	for o := 1; o < len(dst); o++ {
-		h = h<<1 ^ dst[o]
+	for i, g := range folds {
+		h = h<<1 ^ g
 		m = m<<1 | 1
-		dst[o] = h >> top & m
+		dst[i] = h >> top & m
 	}
 }
 
@@ -198,36 +179,39 @@ func SFSXSLow(targets []uint64, selBits, foldBits, order uint) uint64 {
 // indexing scheme Driesen & Hölzle describe for the Dual-path predictor
 // components. Reversing the history places the most recently shifted-in
 // target bits in the high-order index positions, spreading recent-path
-// information across the table.
+// information across the table. n must be <= 64.
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
 func ReverseInterleave(history uint64, historyBits uint, pc uint64, n uint) uint64 {
-	// The shift register keeps the most recent target in its low-order
-	// bits; bit-reversing within the n-bit window places those most
-	// recent bits in the high-order index positions, spreading recent-path
-	// information across the table while PC bits fill the gaps.
-	// Count the history positions in the 2:1 interleave pattern and fold
-	// the full register into that many bits, so the whole recorded path —
-	// not just its most recent slice — reaches the index.
-	histPos := (n + 1) / 2
-	h := Fold(Select(history, historyBits), historyBits, histPos)
-	pc >>= 2
-	var out uint64
-	var outPos uint
-	// Alternate one folded-history bit (recent first) and one PC bit until
-	// n output bits are set.
-	for outPos < n {
-		out |= (h & 1) << (n - 1 - outPos)
-		h >>= 1
-		outPos++
-		if outPos >= n {
-			break
-		}
-		out |= (pc & 1) << (n - 1 - outPos)
-		pc >>= 1
-		outPos++
+	// Counting from the most significant output bit down, the index
+	// alternates one history bit (recent first) and one PC bit until n bits
+	// are set. The history positions in that 2:1 pattern get the whole
+	// register folded into them, so the whole recorded path — not just its
+	// most recent slice — reaches the index. Read from the least significant
+	// bit up, the same pattern is the Morton interleave of the folded
+	// history (even bits) and the PC (odd bits): a perfect shuffle of the
+	// word holding the history in its low half and the PC in its high half.
+	// The index is that interleave's n low bits, reversed.
+	x := Fold(history, historyBits, (n+1)/2) | pc>>2<<32
+	for _, st := range shuffle {
+		t := (x ^ x>>st.shift) & st.mask
+		x ^= t ^ t<<st.shift
 	}
-	return Select(out, n)
+	return bits.Reverse64(x&Mask(n)) >> ((64 - n) & 63)
+}
+
+// shuffle lists the delta swaps of a 64-bit perfect outer shuffle (Hacker's
+// Delight 7-2): applied in order, they move bit i of the low half to bit 2i
+// and bit i of the high half to bit 2i+1.
+var shuffle = [...]struct {
+	mask  uint64
+	shift uint
+}{
+	{0x00000000FFFF0000, 16},
+	{0x0000FF000000FF00, 8},
+	{0x00F000F000F000F0, 4},
+	{0x0C0C0C0C0C0C0C0C, 2},
+	{0x2222222222222222, 1},
 }
 
 // Mix64 is a splitmix64-style finalizer used to derive well-distributed

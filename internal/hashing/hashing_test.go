@@ -254,11 +254,12 @@ func TestMix64Bijective(t *testing.T) {
 	}
 }
 
-// TestSFSXSAllMatchesPerOrder pins the incremental all-orders pass to the
-// per-order reference calls, across both select orientations, warm-up path
-// lengths shorter than the order, a spread of fold widths, and every ring
-// rotation of the recorded path.
-func TestSFSXSAllMatchesPerOrder(t *testing.T) {
+// TestSFSXSNestMatchesPerOrder pins the all-orders nest over per-target
+// folds to the per-order reference calls, across both select orientations,
+// warm-up path lengths shorter than the order (zero folds past the path)
+// and a spread of fold widths. Folds past the highest order hold junk the
+// nest must not read.
+func TestSFSXSNestMatchesPerOrder(t *testing.T) {
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 { rng = Mix64(rng); return rng }
 	for _, maxOrder := range []uint{1, 3, 10, 20} {
@@ -272,29 +273,28 @@ func TestSFSXSAllMatchesPerOrder(t *testing.T) {
 					for i := range targets {
 						targets[i] = next()
 					}
-					// The ring holds the path most recent first walking down
-					// from head; slots past the path hold junk the pass must
-					// not read as path.
-					ring := make([]uint64, max(pathLen, 1)+1)
-					dst := make([]uint64, maxOrder+1)
-					for head := range ring {
-						for i := range ring {
-							ring[i] = next()
+					folds := make([]uint64, maxOrder+2)
+					for i := range folds {
+						switch {
+						case i < pathLen && i < int(maxOrder):
+							folds[i] = Fold(targets[i]>>2, selBits, foldBits)
+						case i < int(maxOrder):
+							folds[i] = 0
+						default:
+							folds[i] = next()
 						}
-						for i, tg := range targets {
-							ring[(head-i+len(ring))%len(ring)] = tg
-						}
-						for _, low := range []bool{false, true} {
-							SFSXSAll(dst, ring, head, pathLen, selBits, foldBits, low)
-							for o := uint(1); o <= maxOrder; o++ {
-								want := SFSXS(targets, selBits, foldBits, o)
-								if low {
-									want = SFSXSLow(targets, selBits, foldBits, o)
-								}
-								if dst[o] != want {
-									t.Fatalf("SFSXSAll(sel=%d fold=%d max=%d len=%d head=%d low=%t)[%d] = %#x, per-order %#x",
-										selBits, foldBits, maxOrder, pathLen, head, low, o, dst[o], want)
-								}
+					}
+					dst := make([]uint64, maxOrder)
+					for _, low := range []bool{false, true} {
+						SFSXSNest(dst, folds, foldBits, low)
+						for o := uint(1); o <= maxOrder; o++ {
+							want := SFSXS(targets, selBits, foldBits, o)
+							if low {
+								want = SFSXSLow(targets, selBits, foldBits, o)
+							}
+							if dst[o-1] != want {
+								t.Fatalf("SFSXSNest(sel=%d fold=%d max=%d len=%d low=%t)[%d] = %#x, per-order %#x",
+									selBits, foldBits, maxOrder, pathLen, low, o, dst[o-1], want)
 							}
 						}
 					}

@@ -2,9 +2,9 @@
 // that record the recent targets of a selected stream of branches. Two views
 // are provided, matching the two families of predictors in the paper:
 //
-//   - the ring of most recent full targets, which the PPM predictor's
-//     SFSXS mapping selects and folds per target in place (SFSXSAll,
-//     Figure 2) and Recent() copies out for other readers;
+//   - the ring of most recent full targets, which Peek and Recent read;
+//     the PPM predictor folds each target for its SFSXS mapping (Figure 2)
+//     as it pushes it, and keeps those folds beside the register;
 //   - Packed() exposes the conventional k-bits-per-target shift register
 //     used by GAp, Target Cache and Dual-path gshare/interleaved indexing.
 //
@@ -223,15 +223,6 @@ func (p *PHR) Recent(dst []uint64, n int) []uint64 {
 		}
 	}
 	return dst
-}
-
-// SFSXSAll writes the per-order SFSXS indices of hashing.SFSXSAll over the
-// register's recorded targets into dst (orders 1 to len(dst)-1), reading
-// the ring in place.
-//
-//ppm:hotpath per-lookup index-hash helper; runs once per table probe
-func (p *PHR) SFSXSAll(dst []uint64, selBits, foldBits uint, low bool) {
-	hashing.SFSXSAll(dst, p.ring, p.head, p.Len(), selBits, foldBits, low)
 }
 
 // Peek returns the i-th most recent target in the ring (0 = most recent),

@@ -134,6 +134,7 @@ type ITTAGE struct {
 	banks   []bank
 	hist    *history.PHR
 	selMask uint64
+	tagMask uint64 // Mask(TagBits)
 	uaona   uint8  // use-alt-on-newly-allocated, 0..uaonaMax, >= 8 means use alt
 	tick    uint64 // updates since power-up, drives the graceful u reset
 	uResets uint64 // graceful resets performed (observability)
@@ -170,6 +171,7 @@ func New(cfg Config) *ITTAGE {
 		base:    make([]baseEntry, cfg.BaseEntries),
 		banks:   make([]bank, cfg.Banks),
 		selMask: hashing.Mask(cfg.BitsPerItem),
+		tagMask: hashing.Mask(cfg.TagBits),
 		uaona:   uaonaInit,
 		pendIdx: make([]uint64, cfg.Banks),
 		pendTag: make([]uint64, cfg.Banks),
@@ -245,12 +247,12 @@ func (p *ITTAGE) baseIndex(pc uint64) uint64 {
 	return (pc >> 2) & uint64(len(p.base)-1)
 }
 
-// bankIndex forms bank b's set index from the mixed pc and the bank's
-// folded window.
+// bankIndex forms bank b's set index from the mixed pc, hashing.Mix64(pc>>2),
+// and the bank's folded window.
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
-func (p *ITTAGE) bankIndex(b *bank, pc uint64) uint64 {
-	return (hashing.Mix64(pc>>2) ^ b.idxFold.Value()) & uint64(len(b.entries)-1)
+func (p *ITTAGE) bankIndex(b *bank, mixed uint64) uint64 {
+	return (mixed ^ b.idxFold.Value()) & uint64(len(b.entries)-1)
 }
 
 // bankTag forms bank b's partial tag: high mixed pc bits XOR the folded
@@ -258,8 +260,8 @@ func (p *ITTAGE) bankIndex(b *bank, pc uint64) uint64 {
 // tags and indexes decorrelated (the ChampSim csr1/csr2 idiom).
 //
 //ppm:hotpath per-lookup index-hash helper; runs once per table probe
-func (p *ITTAGE) bankTag(b *bank, pc uint64) uint64 {
-	return ((hashing.Mix64(pc>>2) >> 32) ^ b.tagFold.Value() ^ (b.tagFold2.Value() << 1)) & hashing.Mask(p.cfg.TagBits)
+func (p *ITTAGE) bankTag(b *bank, mixed uint64) uint64 {
+	return ((mixed >> 32) ^ b.tagFold.Value() ^ (b.tagFold2.Value() << 1)) & p.tagMask
 }
 
 // Predict implements predictor.IndirectPredictor: the longest tag-matching
@@ -271,10 +273,11 @@ func (p *ITTAGE) bankTag(b *bank, pc uint64) uint64 {
 func (p *ITTAGE) Predict(pc uint64) (uint64, bool) {
 	pd := &p.pending
 	pd.provider, pd.alt = -1, -1
+	mixed := hashing.Mix64(pc >> 2) // every bank's index and tag start from it
 	for i := len(p.banks) - 1; i >= 0; i-- {
 		b := &p.banks[i]
-		idx := p.bankIndex(b, pc)
-		tag := p.bankTag(b, pc)
+		idx := p.bankIndex(b, mixed)
+		tag := p.bankTag(b, mixed)
 		// pendIdx and pendTag are sized to len(banks) at construction.
 		p.pendIdx[i] = idx
 		p.pendTag[i] = tag

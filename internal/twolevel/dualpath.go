@@ -25,6 +25,7 @@ type DualPath struct {
 	short     *GAp
 	long      *GAp
 	selectors []uint8 // 2-bit tournament counters; >=2 selects the long component
+	tagged    bool    // either component is tagged, so a branch needs its tag
 	pending   struct {
 		selIdx            uint64
 		shortTgt, longTgt uint64
@@ -52,6 +53,7 @@ func NewDualPath(cfg DualPathConfig) *DualPath {
 		short:     NewGAp(cfg.Short),
 		long:      NewGAp(cfg.Long),
 		selectors: sel,
+		tagged:    cfg.Short.Tagged || cfg.Long.Tagged,
 	}
 }
 
@@ -67,10 +69,16 @@ func (d *DualPath) Name() string {
 // targets, so only the component PHT entries count toward the budget.
 func (d *DualPath) Entries() int { return d.short.Entries() + d.long.Entries() }
 
-// Predict implements predictor.IndirectPredictor.
+// Predict implements predictor.IndirectPredictor. Both components tag a
+// branch alike, so its tag is derived once, and only if a component is
+// tagged.
 func (d *DualPath) Predict(pc uint64) (uint64, bool) {
-	sTgt, sOK := d.short.Predict(pc)
-	lTgt, lOK := d.long.Predict(pc)
+	var tag uint64
+	if d.tagged {
+		tag = gapTag(pc)
+	}
+	sTgt, sOK := d.short.predict(pc, tag)
+	lTgt, lOK := d.long.predict(pc, tag)
 	selIdx := (pc >> 2) & uint64(len(d.selectors)-1)
 	chooseLong := d.selectors[selIdx] >= 2
 

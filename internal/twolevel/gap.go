@@ -94,10 +94,11 @@ func (c GApConfig) validate() error {
 // history register and per-address pattern history tables, per Driesen &
 // Hölzle as configured in Section 5.
 type GAp struct {
-	cfg     GApConfig
-	tables  []*PHT
-	hist    *history.PHR
-	pending struct {
+	cfg      GApConfig
+	tables   []*PHT
+	hist     *history.PHR
+	histBits uint // cfg.historyBits(), the register width
+	pending  struct {
 		table *PHT
 		index uint64
 		tag   uint64
@@ -124,9 +125,10 @@ func NewGAp(cfg GApConfig) *GAp {
 	}
 	hb := cfg.historyBits()
 	return &GAp{
-		cfg:    cfg,
-		tables: tables,
-		hist:   history.New(cfg.HistoryStream, cfg.PathLength, cfg.BitsPerTarget, hb),
+		cfg:      cfg,
+		tables:   tables,
+		hist:     history.New(cfg.HistoryStream, cfg.PathLength, cfg.BitsPerTarget, hb),
+		histBits: hb,
 	}
 }
 
@@ -148,36 +150,45 @@ func (g *GAp) Name() string {
 // Entries implements predictor.Sized.
 func (g *GAp) Entries() int { return g.cfg.Entries }
 
-// index computes (table, set index, tag) for a branch address under the
-// current history.
-func (g *GAp) index(pc uint64) (*PHT, uint64, uint64) {
-	tsel := uint64(0)
-	if len(g.tables) > 1 {
-		tsel = (pc >> 2) & uint64(len(g.tables)-1)
-	}
-	table := g.tables[tsel]
-	bits := table.IndexBits()
-	var idx uint64
+// index computes the table and set index for a branch address under the
+// current history. The table count is a power of two, so one table masks
+// the selector to zero.
+func (g *GAp) index(pc uint64) (*PHT, uint64) {
+	table := g.tables[(pc>>2)&uint64(len(g.tables)-1)]
+	bits := table.bits
 	switch {
 	case g.cfg.Tagged:
 		// Tagged tables carry branch identity in the tag, so the whole
 		// index budget goes to folded path history.
-		idx = hashing.Fold(g.hist.Packed(), g.cfg.historyBits(), bits)
+		return table, hashing.Fold(g.hist.Packed(), g.histBits, bits)
 	case g.cfg.Indexing == GShare:
-		idx = hashing.GShare(g.hist.Packed(), pc, bits)
-	default:
-		idx = hashing.ReverseInterleave(g.hist.Packed(), g.cfg.historyBits(), pc, bits)
+		return table, hashing.GShare(g.hist.Packed(), pc, bits)
 	}
-	tag := hashing.Mix64(pc>>2) >> (64 - gapTagBits)
-	return table, idx, tag
+	return table, hashing.ReverseInterleave(g.hist.Packed(), g.histBits, pc, bits)
 }
 
 // gapTagBits is the width of the mixed tags the tagged variants store.
 const gapTagBits = 24
 
-// Predict implements predictor.IndirectPredictor.
+// gapTag is the mixed tag of a branch address in the tagged variants.
+//
+//ppm:hotpath per-lookup index-hash helper; runs once per table probe
+func gapTag(pc uint64) uint64 { return hashing.Mix64(pc>>2) >> (64 - gapTagBits) }
+
+// Predict implements predictor.IndirectPredictor. Only tagged tables read
+// a tag, so a tagless GAp derives none.
 func (g *GAp) Predict(pc uint64) (uint64, bool) {
-	table, idx, tag := g.index(pc)
+	var tag uint64
+	if g.cfg.Tagged {
+		tag = gapTag(pc)
+	}
+	return g.predict(pc, tag)
+}
+
+// predict is Predict with the branch's tag already derived: gapTag(pc) for
+// a tagged GAp; a tagless one ignores it.
+func (g *GAp) predict(pc, tag uint64) (uint64, bool) {
+	table, idx := g.index(pc)
 	g.pending.table, g.pending.index, g.pending.tag = table, idx, tag
 	if e := table.Lookup(idx, tag); e != nil {
 		table.Touch(idx, tag)
@@ -263,5 +274,5 @@ func (g *GAp) Bits() int {
 	if g.cfg.Useful {
 		per += 2 // usefulness counter
 	}
-	return g.cfg.Entries*per + int(g.cfg.historyBits())
+	return g.cfg.Entries*per + int(g.histBits)
 }

@@ -9,6 +9,7 @@ package twolevel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/counter"
 )
@@ -40,6 +41,7 @@ type PHT struct {
 	assoc  int
 	tagged bool
 	clock  uint64
+	bits   uint // log2(len(sets)): the index bits the table consumes
 
 	// useful mode (the ITTAGE-style u-bit management grafted onto the 1998
 	// tagged cascade): entries carry a usefulness counter, eviction only
@@ -74,7 +76,7 @@ func NewPHT(entries, assoc int, tagged bool) *PHT {
 	for i := range sets {
 		sets[i], backing = backing[:assoc], backing[assoc:]
 	}
-	return &PHT{sets: sets, assoc: assoc, tagged: tagged, maxTag: math.MaxUint64}
+	return &PHT{sets: sets, assoc: assoc, tagged: tagged, bits: uint(bits.TrailingZeros(uint(nsets))), maxTag: math.MaxUint64}
 }
 
 // NewPHTUseful builds a tagged table whose replacement is governed by
@@ -101,13 +103,7 @@ func (t *PHT) Sets() int { return len(t.sets) }
 func (t *PHT) Entries() int { return len(t.sets) * t.assoc }
 
 // IndexBits returns how many index bits the table consumes.
-func (t *PHT) IndexBits() uint {
-	n := uint(0)
-	for s := len(t.sets); s > 1; s >>= 1 {
-		n++
-	}
-	return n
-}
+func (t *PHT) IndexBits() uint { return t.bits }
 
 // Lookup returns the entry for (index, tag): in a tagless table, the
 // direct-mapped slot; in a tagged table, the way whose tag matches, or nil

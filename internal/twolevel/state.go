@@ -47,7 +47,7 @@ func (g *GAp) Walk(c *state.Codec) {
 	c.Match(uint64(g.cfg.BitsPerTarget))
 	c.MatchU8(uint8(g.cfg.HistoryStream))
 	c.MatchU8(uint8(g.cfg.Indexing))
-	c.Match(uint64(g.cfg.historyBits()))
+	c.Match(uint64(g.histBits))
 	c.MatchBool(g.cfg.Useful)
 	if g.cfg.Useful {
 		c.Match(g.cfg.UsefulResetPeriod)

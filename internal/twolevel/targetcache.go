@@ -2,6 +2,7 @@ package twolevel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/hashing"
 	"repro/internal/history"
@@ -33,6 +34,7 @@ type TargetCache struct {
 	cfg        TargetCacheConfig
 	table      []tcEntry
 	hist       *history.PHR
+	bits       uint // log2(len(table)): the index width
 	pending    uint64
 	pendingTag uint64
 }
@@ -64,6 +66,7 @@ func NewTargetCache(cfg TargetCacheConfig) *TargetCache {
 		cfg:   cfg,
 		table: make([]tcEntry, cfg.Entries),
 		hist:  history.New(cfg.HistoryStream, depth, cfg.BitsPerTarget, cfg.HistoryBits),
+		bits:  uint(bits.TrailingZeros(uint(cfg.Entries))),
 	}
 }
 
@@ -79,11 +82,7 @@ func (t *TargetCache) Name() string {
 func (t *TargetCache) Entries() int { return t.cfg.Entries }
 
 func (t *TargetCache) index(pc uint64) uint64 {
-	bits := uint(0)
-	for s := len(t.table); s > 1; s >>= 1 {
-		bits++
-	}
-	return hashing.GShare(t.hist.Packed(), pc, bits)
+	return hashing.GShare(t.hist.Packed(), pc, t.bits)
 }
 
 // tcTagBits is the width of the mixed tags the table stores.
