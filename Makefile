@@ -5,7 +5,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race test-386 lint fmt vet ppmlint gates gates-update grid-smoke outputs-check serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
+.PHONY: all build test race test-386 lint fmt vet ppmlint gates gates-update mutants grid-smoke outputs-check serve-smoke session-smoke check-quick check check-ittage bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -31,9 +31,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The repository's own analyzers: ctxflow, determinism, falseshare,
-# golifetime, hotpath, ifaceassert, ifacecall, lockorder, mustclose,
-# panicdoc, pow2mask. Surviving bounds checks are the codegen gate's job.
+# The repository's own analyzers: determinism, ifaceassert, lockorder,
+# mustclose, panicdoc. Each keeps a mutant-table row only it catches
+# (make mutants); allocations and bounds checks in the hot set are the
+# codegen gate's job.
 ppmlint:
 	$(GO) run ./cmd/ppmlint ./...
 
@@ -41,13 +42,21 @@ ppmlint:
 # hot function gains a heap escape, a surviving bounds check or an inlining
 # refusal beyond internal/lint/codegen.baseline. One go build covers every
 # package with hot functions; a key above budget lists the file:line of
-# each of its diagnostics, and the hotpath analyzer points at allocations.
+# each of its diagnostics.
 gates:
 	$(GO) run ./cmd/codegate
 
 # Regenerate the codegen baseline after an intentional change; commit the diff.
 gates-update:
 	$(GO) run ./cmd/codegate -update
+
+# The mutant table (internal/mutants): applies each row's one-file mutant
+# without touching the working tree and requires every listed killer to
+# fail on it; an analyzer's evidence row must also pass go test, -race,
+# the codegen gate and the other analyzers. Prints one line per row, the
+# kill count and the wall time. Not part of ci: it takes minutes.
+mutants:
+	$(GO) run ./cmd/mutants
 
 # The experiment grid's correctness gate: every registry entry renders the
 # golden record-engine bytes at every -j, the generator's traces keep their

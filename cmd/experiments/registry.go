@@ -8,12 +8,11 @@ import (
 // -all/-ext selects, a one-line description for -list, and the runner. The
 // registry is the single canonical entry point into every table and figure
 // this command can produce, so a new analysis is added by appending a row —
-// not by threading another flag through main — and the static analyzers see
-// one dispatch site. Runners receive the execution env (writer, suite,
-// trace cache, worker pool), make at most one pass over the suite
-// (TestOnePassPerExperiment), and must render only after their parallel
-// cells have completed, in canonical suite order, so output is identical at
-// every -j.
+// not by threading another flag through main. Runners receive the execution
+// env (writer, suite, trace cache, worker pool), make at most one pass over
+// the suite (TestOnePassPerExperiment), and must render only after their
+// parallel cells have completed, in canonical suite order, so output is
+// identical at every -j.
 type experiment struct {
 	name  string
 	group string // "paper" (-all) or "extension" (-ext)

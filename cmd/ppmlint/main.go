@@ -4,30 +4,21 @@
 //
 //	determinism  no wall-clock/global randomness; map iteration order must
 //	             not reach output or unsorted slices (//lint:sorted escapes)
-//	pow2mask     &(n-1) index masks trace to constructor-validated
-//	             power-of-two sizes
 //	panicdoc     exported functions that can panic document it; messages use
 //	             the `pkg: <reason>` format
 //	ifaceassert  IndirectPredictor implementations carry compile-time
 //	             var _ I = (*T)(nil) assertions
-//	hotpath      no allocation sources in functions reachable from predictor
-//	             Predict/Update/Lookup/Observe roots or //ppm:hotpath
-//	             annotations (//lint:coldpath escapes cold branches)
-//	ifacecall    no loop-carried interface dispatch on hot paths when the
-//	             concrete type is provably unique (//lint:dynamic escapes)
-//	golifetime   every go statement has a provable termination signal —
-//	             context, WaitGroup, or channel receive (//ppm:daemon
-//	             annotates process-lifetime goroutines, with a reason)
-//	ctxflow      ctx-receiving functions thread their ctx; Background/TODO
-//	             banned outside package main (//lint:rootctx escapes
-//	             genuine roots)
 //	lockorder    per-package mutex-acquisition graph: ordering cycles and
 //	             locks held across blocking operations (//lint:lockheld
 //	             escapes a justified blocking op)
 //	mustclose    Close/Flush/Shutdown/Sync error returns must be checked
 //	             or explicitly discarded (//lint:closeerr escapes)
-//	falseshare   atomic counter fields may not share a cache line; pad each
-//	             to 64 bytes
+//
+// Each analyzer keeps its place by a row of the mutant table
+// (internal/mutants) that only it catches: `make mutants` shows go test,
+// the race detector, the codegen gate and the other analyzers letting that
+// row through, and TestEveryAnalyzerHasSoleRow fails for an analyzer
+// without one.
 //
 // ppmlint prints each finding as file:line:col: message [analyzer] and exits
 // non-zero when there are findings, so `make lint` and CI fail on them. With
@@ -44,31 +35,19 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/determinism"
-	"repro/internal/lint/falseshare"
-	"repro/internal/lint/golifetime"
-	"repro/internal/lint/hotpath"
 	"repro/internal/lint/ifaceassert"
-	"repro/internal/lint/ifacecall"
 	"repro/internal/lint/lockorder"
 	"repro/internal/lint/mustclose"
 	"repro/internal/lint/panicdoc"
-	"repro/internal/lint/pow2mask"
 )
 
 var analyzers = []*lint.Analyzer{
-	ctxflow.Analyzer,
 	determinism.Analyzer,
-	falseshare.Analyzer,
-	golifetime.Analyzer,
-	hotpath.Analyzer,
 	ifaceassert.Analyzer,
-	ifacecall.Analyzer,
 	lockorder.Analyzer,
 	mustclose.Analyzer,
 	panicdoc.Analyzer,
-	pow2mask.Analyzer,
 }
 
 func main() {
@@ -124,7 +103,7 @@ func main() {
 }
 
 // jsonDiag is the NDJSON shape of one finding. The escape field names the
-// analyzer's escape-hatch directive (e.g. "//lint:coldpath <reason>"), or ""
+// analyzer's escape-hatch directive (e.g. "//lint:closeerr <reason>"), or ""
 // when the analyzer has none.
 type jsonDiag struct {
 	File     string `json:"file"`

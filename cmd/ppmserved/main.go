@@ -97,7 +97,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
-	//ppm:daemon bounded by the listener: Serve returns when Shutdown/Close closes ln, and the send is buffered
+	// Bounded by the listener: Serve returns when Shutdown/Close closes ln, and the send is buffered
 	go func() { serveErr <- hs.Serve(ln) }()
 
 	select {

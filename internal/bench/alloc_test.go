@@ -41,7 +41,7 @@ func replay(p predictor.IndirectPredictor, recs []trace.Record) {
 }
 
 // TestPredictorsZeroAllocSteadyState locks in the hot-path purity the
-// hotpath analyzer and escape gate enforce statically: after a warm-up pass
+// codegen gate enforces statically: after a warm-up pass
 // has faulted in every first-touch structure (BIU entries, table fills),
 // replaying the identical record stream through Predict→Update→Observe
 // must not allocate at all.

@@ -1,7 +1,6 @@
 // Package leakcheck verifies that a block of code did not leave goroutines
-// behind. It is the runtime complement to the ppmlint golifetime analyzer:
-// golifetime proves every `go` statement has a termination signal on paper,
-// leakcheck proves the signals actually fired.
+// behind: every goroutine a test's servers, jobs and pools start must have
+// exited once the test's cleanups have run.
 //
 // Usage in tests:
 //

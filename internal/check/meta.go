@@ -225,7 +225,7 @@ func startServer() (*serve.Server, *httptest.Server, func()) {
 	var once sync.Once
 	return s, ts, func() {
 		once.Do(func() {
-			//lint:rootctx harness-owned shutdown deadline; no caller context exists
+			// A harness-owned shutdown deadline: no caller context exists.
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			_ = s.Shutdown(ctx)

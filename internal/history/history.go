@@ -211,7 +211,7 @@ func (p *PHR) Len() int { return min(p.pushes, len(p.ring)) }
 func (p *PHR) Recent(dst []uint64, n int) []uint64 {
 	n = min(n, p.Len())
 	if cap(dst) < n {
-		dst = make([]uint64, n) //lint:coldpath — only for nil/undersized scratch
+		dst = make([]uint64, n) // only for nil/undersized scratch
 	}
 	dst = dst[:n]
 	idx := p.head

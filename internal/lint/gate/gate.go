@@ -102,18 +102,18 @@ type Func struct {
 func HotFuncs(pkgs []*lint.Package, dir string) (funcs []Func, hotPkgs []string) {
 	for _, pkg := range pkgs {
 		pass := &lint.Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info}
-		hot, _ := hotset.Compute(pass)
+		hot := hotset.Compute(pass)
 		if len(hot) == 0 {
 			continue
 		}
 		hotPkgs = append(hotPkgs, pkg.ImportPath)
-		for _, hf := range hot {
-			start, end := pkg.Fset.Position(hf.Decl.Pos()), pkg.Fset.Position(hf.Decl.End())
+		for _, fd := range hot {
+			start, end := pkg.Fset.Position(fd.Pos()), pkg.Fset.Position(fd.End())
 			file := start.Filename
 			if rel, err := filepath.Rel(dir, file); err == nil && !strings.HasPrefix(rel, "..") {
 				file = rel
 			}
-			funcs = append(funcs, Func{File: file, Name: hotset.Label(hf.Decl), Start: start.Line, End: end.Line})
+			funcs = append(funcs, Func{File: file, Name: hotset.Label(fd), Start: start.Line, End: end.Line})
 		}
 	}
 	return funcs, hotPkgs

@@ -1,7 +1,6 @@
 // Package hotset computes the set of hot-path functions in a package: the
-// functions reachable from the simulator's per-lookup entry points, on which
-// the hotpath and ifacecall analyzers enforce the repository's zero-
-// allocation / no-dispatch discipline.
+// functions reachable from the simulator's per-lookup entry points, whose
+// compiled code the codegen gate (internal/lint/gate) budgets.
 //
 // Roots are discovered two ways:
 //
@@ -49,29 +48,11 @@ var rootMethodNames = map[string]bool{
 	"Observe": true,
 }
 
-// Func is one hot function: its declaration and the root that made it hot.
-type Func struct {
-	Decl *ast.FuncDecl
-	File *ast.File
-	// Root names the entry point this function is reachable from, e.g.
-	// "(*PPM).Predict" or "SFSXS" for an annotated root.
-	Root string
-	// Cold reports a //ppm:coldpath opt-out: the function is excluded from
-	// the hot set, and hot callers referencing it are themselves flagged by
-	// the hotpath analyzer.
-	Cold bool
-}
-
-// Compute returns the package's hot functions in source order, plus the set
-// of functions opted out with //ppm:coldpath (keyed by object, for call-site
-// checks).
-func Compute(pass *lint.Pass) (hot []*Func, cold map[types.Object]bool) {
-	type declInfo struct {
-		decl *ast.FuncDecl
-		file *ast.File
-	}
-	decls := map[types.Object]declInfo{}
-	cold = map[types.Object]bool{}
+// Compute returns the declarations of the package's hot functions in source
+// order.
+func Compute(pass *lint.Pass) []*ast.FuncDecl {
+	decls := map[types.Object]*ast.FuncDecl{}
+	cold := map[types.Object]bool{}
 
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
@@ -83,7 +64,7 @@ func Compute(pass *lint.Pass) (hot []*Func, cold map[types.Object]bool) {
 			if obj == nil {
 				continue
 			}
-			decls[obj] = declInfo{decl: fd, file: file}
+			decls[obj] = fd
 			if hasDirective(fd, ColdpathDirective) {
 				cold[obj] = true
 			}
@@ -93,41 +74,29 @@ func Compute(pass *lint.Pass) (hot []*Func, cold map[types.Object]bool) {
 	iface := indirectPredictorInterface(pass.Pkg)
 
 	// Seed the worklist with roots.
-	reached := map[types.Object]*Func{}
-	var work []types.Object
-	add := func(obj types.Object, root string) {
-		if cold[obj] {
+	reached := map[types.Object]*ast.FuncDecl{}
+	var work []*ast.FuncDecl
+	add := func(obj types.Object) {
+		fd, ok := decls[obj]
+		if !ok || cold[obj] || reached[obj] != nil {
 			return
 		}
-		if _, seen := reached[obj]; seen {
-			return
-		}
-		di, ok := decls[obj]
-		if !ok {
-			return
-		}
-		reached[obj] = &Func{Decl: di.decl, File: di.file, Root: root}
-		work = append(work, obj)
+		reached[obj] = fd
+		work = append(work, fd)
 	}
 
-	for obj, di := range decls {
-		fd := di.decl
-		if hasDirective(fd, HotpathDirective) {
-			add(obj, Label(fd))
-			continue
-		}
-		if iface != nil && fd.Recv != nil && rootMethodNames[fd.Name.Name] &&
-			receiverImplements(pass, fd, iface) {
-			add(obj, Label(fd))
+	for obj, fd := range decls {
+		if hasDirective(fd, HotpathDirective) ||
+			iface != nil && fd.Recv != nil && rootMethodNames[fd.Name.Name] && receiverImplements(pass, fd, iface) {
+			add(obj)
 		}
 	}
 
-	// BFS over same-package static calls, carrying the root label forward.
+	// BFS over same-package static calls.
 	for len(work) > 0 {
-		obj := work[0]
+		fd := work[0]
 		work = work[1:]
-		info := reached[obj]
-		ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -137,16 +106,17 @@ func Compute(pass *lint.Pass) (hot []*Func, cold map[types.Object]bool) {
 			if !ok || fn.Pkg() != pass.Pkg {
 				return true
 			}
-			add(fn, info.Root)
+			add(fn)
 			return true
 		})
 	}
 
-	for _, f := range reached {
-		hot = append(hot, f)
+	hot := make([]*ast.FuncDecl, 0, len(reached))
+	for _, fd := range reached {
+		hot = append(hot, fd)
 	}
-	sort.Slice(hot, func(i, j int) bool { return hot[i].Decl.Pos() < hot[j].Decl.Pos() })
-	return hot, cold
+	sort.Slice(hot, func(i, j int) bool { return hot[i].Pos() < hot[j].Pos() })
+	return hot
 }
 
 // hasDirective reports whether the function's doc comment carries the

@@ -1,9 +1,9 @@
 // Package lint is a minimal, dependency-free mirror of the golang.org/x/tools
 // go/analysis framework, carrying the custom analyzers that machine-check this
 // repository's simulator invariants: bit-reproducible output (determinism),
-// constructor-validated power-of-two table sizes (pow2mask), documented panic
-// contracts (panicdoc) and compile-time predictor interface conformance
-// (ifaceassert).
+// documented panic contracts (panicdoc), compile-time predictor interface
+// conformance (ifaceassert), lock discipline (lockorder) and checked close
+// errors (mustclose).
 //
 // The container this repository builds in has no module proxy access, so the
 // framework is implemented on the standard library alone: packages are loaded
@@ -167,26 +167,17 @@ func ParseDirective(text string) (prefix, name, reason string, ok bool) {
 // missing is itself reported, uniformly across analyzers, though it still
 // suppresses the underlying finding so the fix is one edit, not two.
 func (p *Pass) EscapeLines(file *ast.File, directive string) map[int]bool {
-	return directiveLines(p, file, "lint", directive)
-}
-
-// DirectiveLines is EscapeLines for `//ppm:<directive>` annotations.
-func (p *Pass) DirectiveLines(file *ast.File, directive string) map[int]bool {
-	return directiveLines(p, file, "ppm", directive)
-}
-
-func directiveLines(pass *Pass, file *ast.File, wantPrefix, directive string) map[int]bool {
 	lines := map[int]bool{}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			prefix, name, reason, ok := ParseDirective(c.Text)
-			if !ok || prefix != wantPrefix || name != directive {
+			if !ok || prefix != "lint" || name != directive {
 				continue
 			}
 			if reason == "" {
-				pass.Reportf(c.Pos(), "//%s:%s directive needs a reason sentence", prefix, name)
+				p.Reportf(c.Pos(), "//lint:%s directive needs a reason sentence", name)
 			}
-			lines[pass.Fset.Position(c.Pos()).Line] = true
+			lines[p.Fset.Position(c.Pos()).Line] = true
 		}
 	}
 	return lines

@@ -108,7 +108,7 @@ func (b *BIU) Ensure(pc uint64) *BIUEntry {
 	if s := b.find(pc); s.used {
 		return &s.BIUEntry
 	}
-	return b.ensureSlow(pc) //lint:coldpath — first touch of a new static branch
+	return b.ensureSlow(pc) // first touch of a new static branch
 }
 
 // ensureSlow inserts the entry for an unseen branch, first applying the

@@ -51,7 +51,7 @@ func (b *BIU) Walk(c *state.Codec) {
 // nil when pc is already present.
 func (b *BIU) insert(pc uint64) *biuSlot {
 	if 2*(len(b.order)+1) > len(b.slots) {
-		b.resize(2 * len(b.slots)) //lint:coldpath — only when the snapshot outgrows the live table
+		b.resize(2 * len(b.slots)) // only when the snapshot outgrows the live table
 	}
 	s := b.find(pc)
 	if s.used {

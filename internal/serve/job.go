@@ -108,8 +108,8 @@ type job struct {
 func newJob(id, kind string, total int, created time.Time, timeout time.Duration) *job {
 	// The deadline carries an explicit cause: context.Cause must name the
 	// job timeout, not the generic DeadlineExceeded any wrapping deadline
-	// would also produce.
-	//lint:rootctx job contexts are roots; jobs outlive the submitting request
+	// would also produce. Job contexts are roots: a job outlives the request
+	// that submitted it.
 	base, release := context.WithTimeoutCause(context.Background(), timeout, errJobDeadline)
 	ctx, cancel := context.WithCancelCause(base)
 	return &job{

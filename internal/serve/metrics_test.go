@@ -2,10 +2,24 @@ package serve
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 )
+
+// TestCountersOwnCacheLines holds the counter block's layout: every counter
+// fills a whole 64-byte line, so counters bumped by handlers on different
+// cores never share a line and ping-pong its ownership.
+func TestCountersOwnCacheLines(t *testing.T) {
+	typ := reflect.TypeOf(metrics{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Pointer && f.Type.Size() != 64 {
+			t.Errorf("metrics.%s (%s) is %d bytes, want one 64-byte cache line", f.Name, f.Type, f.Type.Size())
+		}
+	}
+}
 
 // splitmix64 gives the tests a deterministic stream without math/rand.
 type splitmix64 uint64

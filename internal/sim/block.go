@@ -75,7 +75,7 @@ func (e *Engine) account(b *trace.Block) {
 func (l *lane) replay(b *trace.Block, c *stats.Counters, out *[]predictor.Prediction) {
 	n := len(b.MTIdx)
 	if cap(*out) < n {
-		grow(out, n, cap(b.Meta)) //lint:coldpath the lane grows to its largest block's dispatch count, then is reused
+		grow(out, n, cap(b.Meta)) // the lane grows to its largest block's dispatch count, then is reused
 	}
 	preds := (*out)[:n]
 	*out = preds

@@ -272,7 +272,7 @@ func (r *Reader) decodeBlock(b *Block, n int) error {
 	vals := b.Value
 	if vals != nil {
 		if cap(vals) < n {
-			vals = valueLane(n) //lint:coldpath only a block built with a shorter Value lane regrows it
+			vals = valueLane(n) // only a block built with a shorter Value lane regrows it
 		}
 		vals = vals[:n:n]
 	}
@@ -295,15 +295,15 @@ func (r *Reader) decodeBlock(b *Block, n int) error {
 		if rec.value != 0 && vals == nil {
 			// First switch value in a block without a Value lane:
 			// materialize it, zero for the records decoded before.
-			vals = valueLane(n) //lint:coldpath a block's Value lane is materialized once, then reused
+			vals = valueLane(n) // a block's Value lane is materialized once, then reused
 		}
 		if vals != nil {
 			vals[i] = rec.value
 		}
 		if cls := Class(rec.meta & MetaClassMask); cls == IndirectJmp || cls == IndirectJsr {
-			pib = append(pib, int32(i)) //lint:coldpath grows only until the lane reaches the block's indirect count
+			pib = append(pib, int32(i)) // grows only until the lane reaches the block's indirect count
 			if rec.meta&MetaMT != 0 {
-				mt = append(mt, int32(i)) //lint:coldpath grows only until the lane reaches the block's dispatch count
+				mt = append(mt, int32(i)) // grows only until the lane reaches the block's dispatch count
 			}
 		}
 	}

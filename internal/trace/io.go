@@ -307,7 +307,7 @@ func decodeRecord(rec *wireRecord, b []byte, prevPC uint64) (n int, err error) {
 		n += k
 	}
 	if !Class(flags & flagClassMask).Valid() {
-		return 0, classErr(flags) //lint:coldpath a corrupt record ends the stream
+		return 0, classErr(flags) // a corrupt record ends the stream
 	}
 	rec.meta = flags & (flagClassMask | flagTaken | flagMT)
 	rec.pc = prevPC + uint64(unzigzag(pcd))
